@@ -27,6 +27,15 @@ def _positive_int(text):
     return value
 
 
+def _cluster_count(text):
+    value = _positive_int(text)
+    if value > segment.MAX_CLUSTERS:
+        raise argparse.ArgumentTypeError(
+            f"the default palette colors at most {segment.MAX_CLUSTERS} clusters, got {value}"
+        )
+    return value
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -91,8 +100,8 @@ def _add_threshold_flags(parser):
 
 
 def _add_cluster_flags(parser):
-    parser.add_argument("--k", type=_positive_int, default=5,
-                        help="number of ink clusters (default 5)")
+    parser.add_argument("--k", type=_cluster_count, default=5,
+                        help=f"number of ink clusters, 1..{segment.MAX_CLUSTERS} (default 5)")
     parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     parser.add_argument("--init", choices=[cluster.INIT_KMEANSPP, cluster.INIT_RANDOM],
                         default=cluster.INIT_KMEANSPP,

@@ -10,11 +10,20 @@ Everything here is reproducible bit-for-bit from the seed:
 - restarts run with seeds seed, seed+1, ... and the lowest-inertia model
   wins, ties to the lowest restart index.
 
-Distances are squared Euclidean on raw 64-bit floats, computed as
-sum((x - c)^2) rather than the dot-product expansion so the arithmetic
-matches a naive per-element scan.
+Distances are squared Euclidean on raw 64-bit floats, sum((x - c)^2)
+rather than the dot-product expansion, with the exact bits of NumPy's
+row sum ((x - c) * (x - c)).sum(axis=-1). They are computed band-major:
+a chunk is transposed into a (B, k, CHUNK_SIZE) scratch array, the k
+differences are squared in place, and the B band planes are added in
+the order of NumPy's pairwise row sum (see `_fold_bands`), so each add
+covers k * CHUNK_SIZE distances. Every worker thread allocates its
+scratch once, B * k * CHUNK_SIZE * 8 bytes (5.4 MB at B = 33, k = 5).
+A fit creates one thread pool for all its restarts; each Lloyd
+iteration is one pass over the chunks that assigns labels and returns
+the chunk's per-cluster sums and counts, added in chunk order.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -84,51 +93,136 @@ def _chunks(n: int):
     return [(s, min(s + CHUNK_SIZE, n)) for s in range(0, n, CHUNK_SIZE)]
 
 
-def _assign_chunk(x: np.ndarray, centroids: np.ndarray):
-    diff = x[:, None, :] - centroids[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    labels = d2.argmin(axis=1)  # argmin takes the first minimum: lowest index
-    return labels, d2[np.arange(x.shape[0]), labels]
+class _Kernel:
+    """The samples of one call in fixed chunks, with at most one thread pool.
 
-
-def _assign_all(x: np.ndarray, centroids: np.ndarray, workers: int):
-    n = x.shape[0]
-    labels = np.empty(n, dtype=np.int32)
-    dists = np.empty(n, dtype=np.float64)
-    spans = _chunks(n)
-
-    def run(span):
-        s, e = span
-        lab, d = _assign_chunk(x[s:e], centroids)
-        labels[s:e] = lab
-        dists[s:e] = d
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-    return labels, dists
-
-
-def _accumulate(x: np.ndarray, labels: np.ndarray, k: int):
-    """Per-cluster sums and counts, accumulated in fixed chunk order.
-
-    Reductions stay inside NumPy's deterministic pairwise sums (no BLAS),
-    so the result is a pure function of (x, labels, k).
+    `sq_dists` fills a (B, rows, CHUNK_SIZE) scratch array that each
+    thread allocates once and reuses for every chunk it handles.
     """
-    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
+
+    def __init__(self, x: np.ndarray, rows: int, workers: int = 1):
+        self.x = x
+        self.spans = _chunks(x.shape[0])
+        self._scratch_shape = (x.shape[1], rows, min(CHUNK_SIZE, x.shape[0]))
+        self._local = threading.local()
+        self._workers = workers if len(self.spans) > 1 else 1
+        self._pool = None
+
+    def __enter__(self):
+        if self._workers > 1:
+            self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def map(self, fn) -> list:
+        """fn(start, end) for every chunk; results in chunk order."""
+        if self._pool is None:
+            return [fn(s, e) for s, e in self.spans]
+        return list(self._pool.map(lambda span: fn(*span), self.spans))
+
+    def sq_dists(self, s: int, e: int, centroids: np.ndarray) -> np.ndarray:
+        """(rows, e - s) squared distances of samples s:e to each centroid.
+
+        Bit-equal to ((x - c) * (x - c)).sum(axis=-1) per sample; the
+        result is a view into this thread's scratch, valid until its
+        next call.
+        """
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = np.empty(self._scratch_shape)
+        t = scratch[:, : centroids.shape[0], : e - s]
+        ct = centroids.T[:, :, None]
+        np.copyto(t[:, 0], self.x[s:e].T)  # transpose once, then subtract in place
+        np.subtract(t[:, :1], ct[:, 1:], out=t[:, 1:])
+        t[:, 0] -= ct[:, 0]
+        np.multiply(t, t, out=t)
+        _fold_bands(t, 0, t.shape[0])
+        return t[0]
+
+
+def _fold_bands(t: np.ndarray, lo: int, n: int) -> None:
+    """Sum planes t[lo:lo+n] into t[lo] in NumPy's pairwise row-sum order.
+
+    NumPy adds a row of n doubles sequentially below 8, with eight
+    running accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    plus a sequential tail up to 128, and by halving (at a multiple of 8)
+    above that. Doing the same plane by plane gives every distance the
+    bits of the row-wise sum. (NumPy's short-row sum starts from 0.0;
+    squares are never -0.0, so skipping that add changes no bit.)
+    """
+    if n < 8:
+        for i in range(lo + 1, lo + n):
+            t[lo] += t[i]
+    elif n <= 128:
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            t[lo : lo + 8] += t[i : i + 8]
+        for step in (1, 2, 4):
+            t[lo : lo + 8 : 2 * step] += t[lo + step : lo + 8 : 2 * step]
+        for i in range(end, lo + n):
+            t[lo] += t[i]
+    else:
+        half = n // 2
+        half -= half % 8
+        _fold_bands(t, lo, half)
+        _fold_bands(t, lo + half, n - half)
+        t[lo] += t[lo + half]
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """Row of the smallest entry in each column; ties to the lowest row.
+
+    Overwrites d2[0] with the column minima.
+    """
+    best = d2[0]
+    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    for c in range(1, d2.shape[0]):
+        labels[d2[c] < best] = c
+        np.minimum(best, d2[c], out=best)
+    return labels
+
+
+def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
+    out = np.empty(kern.x.shape[0])
+
+    def run(s, e):
+        out[s:e] = kern.sq_dists(s, e, point[None, :])[0]
+
+    kern.map(run)
+    return out
+
+
+def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
+    """Assign every sample (into `labels`); return per-cluster sums and counts.
+
+    Within a chunk, bincount adds each (cluster, band) bin in sample
+    order, as NumPy sums a cluster's member rows when B > 1; chunk
+    partials are added in chunk order, so the totals do not depend on the
+    thread count.
+    """
+    k, bands = centroids.shape
+    band_index = np.arange(bands)
+
+    def run(s, e):
+        lab = _nearest(kern.sq_dists(s, e, centroids))
+        labels[s:e] = lab
+        if bands == 1:  # NumPy sums a one-column member block pairwise
+            column = kern.x[s:e, 0]
+            sums = np.array([column[lab == c].sum() for c in range(k)])
+        else:
+            bins = (lab[:, None] * bands + band_index).ravel()
+            sums = np.bincount(bins, weights=kern.x[s:e].ravel(), minlength=k * bands)
+        return sums, np.bincount(lab, minlength=k)
+
+    sums = np.zeros(k * bands)
     counts = np.zeros(k, dtype=np.int64)
-    for s, e in _chunks(x.shape[0]):
-        lab = labels[s:e]
-        chunk = x[s:e]
-        counts += np.bincount(lab, minlength=k)
-        for c in range(k):
-            members = chunk[lab == c]
-            if members.shape[0]:
-                sums[c] += members.sum(axis=0)
-    return sums, counts
+    for chunk_sums, chunk_counts in kern.map(run):
+        sums += chunk_sums
+        counts += chunk_counts
+    return sums.reshape(k, bands), counts
 
 
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -137,19 +231,6 @@ def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarra
         diff = x[s:e] - centroids[labels[s:e]]
         total += float((diff * diff).sum())
     return total
-
-
-def _farthest_index(x: np.ndarray, centroid: np.ndarray) -> int:
-    best = -1.0
-    best_i = 0
-    for s, e in _chunks(x.shape[0]):
-        diff = x[s:e] - centroid
-        d2 = (diff * diff).sum(axis=1)
-        i = int(d2.argmax())  # first maximum: lowest sample index in chunk
-        if d2[i] > best:
-            best = float(d2[i])
-            best_i = s + i
-    return best_i
 
 
 def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
@@ -162,10 +243,12 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
     is drawn uniformly from the unchosen ones.
     """
     x = np.asarray(spectra.vectors, dtype=np.float64)
-    return _init_centroids(x, params.k, params.init, params.seed)
+    with _Kernel(x, 1) as kern:
+        return _init_centroids(kern, params.k, params.init, params.seed)
 
 
-def _init_centroids(x: np.ndarray, k: int, init: str, seed: int) -> np.ndarray:
+def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
+    x = kern.x
     n = x.shape[0]
     if n == 0:
         raise EmptyInput("no samples to initialize from")
@@ -178,7 +261,7 @@ def _init_centroids(x: np.ndarray, k: int, init: str, seed: int) -> np.ndarray:
         return x[idx].copy()
 
     chosen = [rng.below(n)]
-    d2 = _sq_dist_to(x, x[chosen[0]])
+    d2 = _sq_dist_to(kern, x[chosen[0]])
     while len(chosen) < k:
         total = float(d2.sum())
         if total > 0.0:
@@ -190,13 +273,8 @@ def _init_centroids(x: np.ndarray, k: int, init: str, seed: int) -> np.ndarray:
             remaining = sorted(set(range(n)) - set(chosen))
             next_i = remaining[rng.below(len(remaining))]
         chosen.append(next_i)
-        d2 = np.minimum(d2, _sq_dist_to(x, x[next_i]))
+        d2 = np.minimum(d2, _sq_dist_to(kern, x[next_i]))
     return x[chosen].copy()
-
-
-def _sq_dist_to(x: np.ndarray, point: np.ndarray) -> np.ndarray:
-    diff = x - point
-    return (diff * diff).sum(axis=1)
 
 
 def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.ndarray:
@@ -208,7 +286,9 @@ def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.
             f"centroids have {centroids.shape[-1] if centroids.ndim else 0} dims, "
             f"samples have {x.shape[1]}"
         )
-    labels, _ = _assign_all(x, centroids, workers)
+    labels = np.empty(x.shape[0], dtype=np.int32)
+    with _Kernel(x, centroids.shape[0], workers) as kern:
+        _lloyd_pass(kern, centroids, labels)
     return labels
 
 
@@ -249,39 +329,39 @@ def kmeans_fit(
         raise TooFewSamples(f"{n} samples for k={params.k}")
 
     best = None
-    for restart in range(params.restarts):
-        model = _fit_once(x, params, params.seed + restart, workers, capture_trace)
-        if best is None or model.inertia < best.inertia:
-            best = model
+    with _Kernel(x, params.k, workers) as kern:
+        for restart in range(params.restarts):
+            model = _fit_once(kern, params, params.seed + restart, capture_trace)
+            if best is None or model.inertia < best.inertia:
+                best = model
     return best
 
 
-def _fit_once(x, params, seed, workers, capture_trace):
-    k = params.k
-    centroids = _init_centroids(x, k, params.init, seed)
+def _fit_once(kern, params, seed, capture_trace):
+    x = kern.x
+    centroids = _init_centroids(kern, params.k, params.init, seed)
     tol2 = params.tolerance * params.tolerance
+    labels = np.empty(x.shape[0], dtype=np.int32)
     trace = []
-    labels = None
     converged = False
     iterations = 0
 
     for iterations in range(1, params.max_iterations + 1):
-        labels, _ = _assign_all(x, centroids, workers)
-        sums, counts = _accumulate(x, labels, k)
+        sums, counts = _lloyd_pass(kern, centroids, labels)
 
         new_centroids = np.empty_like(centroids)
         occupied = counts > 0
         new_centroids[occupied] = sums[occupied] / counts[occupied, None]
         for c in np.nonzero(~occupied)[0]:  # ascending cluster index
-            new_centroids[c] = x[_farthest_index(x, centroids[c])]
+            # first maximum: the lowest sample index among the farthest
+            new_centroids[c] = x[int(_sq_dist_to(kern, centroids[c]).argmax())]
 
         moved = new_centroids - centroids
         max_disp2 = float((moved * moved).sum(axis=1).max())
         centroids = new_centroids
 
-        current = _inertia_fixed_order(x, centroids, labels)
         if capture_trace:
-            trace.append(current)
+            trace.append(_inertia_fixed_order(x, centroids, labels))
         if max_disp2 <= tol2:
             converged = True
             break
@@ -289,7 +369,7 @@ def _fit_once(x, params, seed, workers, capture_trace):
     return ClusterModel(
         centroids=centroids,
         labels=labels,
-        inertia=current,
+        inertia=_inertia_fixed_order(x, centroids, labels),
         iterations=iterations,
         converged=converged,
         inertia_trace=tuple(trace),

@@ -27,6 +27,7 @@ _CLUSTER_COLORS = (
     (255, 165, 0),    # orange
     (128, 0, 128),    # purple
 )
+MAX_CLUSTERS = len(_CLUSTER_COLORS)  # clusters the default palette can color
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +75,8 @@ class Palette:
 
 def default_palette(k: int) -> Palette:
     """The fixed default palette: black background, first k cluster colors."""
-    if k > len(_CLUSTER_COLORS):
-        raise PaletteTooSmall(
-            f"default palette has {len(_CLUSTER_COLORS)} cluster colors, need {k}"
-        )
+    if k > MAX_CLUSTERS:
+        raise PaletteTooSmall(f"default palette has {MAX_CLUSTERS} cluster colors, need {k}")
     return Palette(_BACKGROUND, _CLUSTER_COLORS[:k])
 
 
@@ -117,10 +116,6 @@ def render_segmentation(segmap: SegmentationMap, palette: Palette) -> np.ndarray
 def write_rgb_ppm(image: np.ndarray, path) -> None:
     """Write an RGB render as binary PPM (P6, maxval 255)."""
     netpbm.write_ppm(image, path)
-
-
-def read_rgb_ppm(path) -> np.ndarray:
-    return netpbm.read_ppm(path)
 
 
 def write_label_pgm(segmap: SegmentationMap, path) -> None:

@@ -163,11 +163,20 @@ class TestSegment:
         assert main(["synth", "--out-dir", str(doc), "--width", "12", "--height", "10",
                      "--bands", "3", "--inks", "1", "--coverage", "0.05",
                      "--seed", "2"]) == 0
-        code = main(["segment", str(doc / "bands"), "--k", "200",
+        code = main(["segment", str(doc / "bands"), "--k", "7",  # 6 foreground pixels
                      "--out-render", str(tmp_path / "r.ppm"),
                      "--out-labels", str(tmp_path / "l.pgm")])
         assert code == 1
         assert "samples" in capsys.readouterr().err.lower()
+
+    def test_k_above_palette_exits_2_before_loading(self, tmp_path, capsys):
+        # the input does not exist: a check after loading would exit 1
+        code = main(["segment", str(tmp_path / "missing"), "--k", "9",
+                     "--out-render", str(tmp_path / "r.ppm"),
+                     "--out-labels", str(tmp_path / "l.pgm")])
+        assert code == 2
+        assert "palette" in capsys.readouterr().err
+        assert not (tmp_path / "r.ppm").exists()
 
     def test_json_summary(self, synth_dir, tmp_path, capsys):
         code, render, labels = self.run_segment(synth_dir, tmp_path, "j", ["--json"])

@@ -1,5 +1,6 @@
 """K-means against brute-force oracles: assignment, inertia, optimality,
-determinism across runs and worker counts."""
+determinism across runs and worker counts, and the band-major distance
+kernel against the broadcast formula it replaces, bit for bit."""
 
 import itertools
 import math
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 
 from inkscan.cluster import (
+    CHUNK_SIZE,
     INIT_KMEANSPP,
     INIT_RANDOM,
     KMeansParams,
+    _Kernel,
+    _lloyd_pass,
+    _sq_dist_to,
     assign,
     inertia,
     kmeans_fit,
@@ -33,6 +38,31 @@ def brute_force_assign(points, centroids):
                 best_c, best_d = c, d
         labels.append(best_c)
     return labels
+
+
+def broadcast_sq_dists(x, centroids):
+    """The (N, k) distance formula the kernel must match bit for bit."""
+    diff = x[:, None, :] - centroids[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def chunked_accumulate(x, labels, k):
+    """Per-cluster sums and counts: member rows summed chunk by chunk."""
+    sums = np.zeros((k, x.shape[1]), dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    for s in range(0, x.shape[0], CHUNK_SIZE):
+        lab = labels[s:s + CHUNK_SIZE]
+        chunk = x[s:s + CHUNK_SIZE]
+        counts += np.bincount(lab, minlength=k)
+        for c in range(k):
+            members = chunk[lab == c]
+            if members.shape[0]:
+                sums[c] += members.sum(axis=0)
+    return sums, counts
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def partition_wcss(points, groups):
@@ -307,3 +337,70 @@ class TestParams:
             KMeansParams(k=1, tolerance=-1.0)
         with pytest.raises(ValueError):
             KMeansParams(k=1, restarts=0)
+
+
+class TestKernel:
+    """The band-major kernel against the formulas it replaces."""
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 16, 33, 127, 128, 129, 200, 300])
+    def test_distances_bit_equal_to_broadcast(self, b):
+        gen = np.random.default_rng(b)
+        for n in (1, 4095, 4096, 4097, 10000):
+            x = gen.normal(size=(n, b)) * 37.3 + 11.1
+            centroids = gen.normal(size=(3, b)) * 37.3
+            with _Kernel(x, 3) as kern:
+                for s, e in kern.spans:
+                    got = kern.sq_dists(s, e, centroids)
+                    want = broadcast_sq_dists(x[s:e], centroids).T
+                    assert np.array_equal(bits(got), bits(want)), (b, n, s)
+
+    @pytest.mark.parametrize("b", [1, 7, 33, 129])
+    def test_sq_dist_to_bit_equal_at_any_worker_count(self, b):
+        gen = np.random.default_rng(100 + b)
+        x = gen.normal(size=(10000, b)) * 5.5
+        point = x[17]
+        diff = x - point
+        want = (diff * diff).sum(axis=1)
+        for workers in (1, 2):
+            with _Kernel(x, 1, workers) as kern:
+                assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(want))
+
+    def test_integer_ties_go_to_lowest_index(self, rng):
+        points = rng.integers(-3, 4, size=(5000, 4)).astype(np.float64)
+        base = rng.integers(-3, 4, size=(3, 4)).astype(np.float64)
+        centroids = np.vstack([base, base[::-1]])  # every centroid appears twice
+        expected = brute_force_assign(points.tolist(), centroids.tolist())
+        spectra = make_spectrum_set(points)
+        for workers in (1, 2):
+            got = assign(centroids, spectra, workers=workers)
+            assert got.tolist() == expected
+        assert set(expected) <= {0, 1, 2}
+
+    @pytest.mark.parametrize("n", [1, 4095, 4097, 10000])
+    @pytest.mark.parametrize("b", [1, 2, 33])
+    def test_fused_sums_bit_equal_to_chunked_accumulate(self, n, b):
+        gen = np.random.default_rng(n + b)
+        x = gen.normal(size=(n, b)) * 19.7
+        # the last centroid sits far away, so its cluster stays empty
+        centroids = np.vstack([gen.normal(size=(4, b)) * 19.7, np.full((1, b), 1e6)])
+        for workers in (1, 2):
+            labels = np.empty(n, dtype=np.int32)
+            with _Kernel(x, 5, workers) as kern:
+                sums, counts = _lloyd_pass(kern, centroids, labels)
+            assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
+            want_sums, want_counts = chunked_accumulate(x, labels, 5)
+            assert np.array_equal(bits(sums), bits(want_sums))
+            assert np.array_equal(counts, want_counts)
+            assert counts[4] == 0
+
+    def test_fit_identical_at_one_two_three_workers(self, rng):
+        points = rng.normal(size=(10000, 6)) * 3.0
+        spectra = make_spectrum_set(points)
+        params = KMeansParams(k=4, seed=7, restarts=2, max_iterations=15)
+        first, *others = [kmeans_fit(spectra, params, workers=w) for w in (1, 2, 3)]
+        for other in others:
+            assert first.centroids.tobytes() == other.centroids.tobytes()
+            assert first.labels.tobytes() == other.labels.tobytes()
+            assert repr(first.inertia) == repr(other.inertia)
+            assert first.iterations == other.iterations
+            assert first.converged == other.converged
