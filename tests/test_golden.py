@@ -15,7 +15,10 @@ Two pages are pinned:
   pixels span three chunks, segmented with `--max-iter 12`.
 
 Each is run at `--workers 1` and `--workers 2`, which must give the same
-bytes. The k-means++ initial centroids are pinned on their own.
+bytes. The k-means++ initial centroids are pinned on their own, as are
+the `spectra` CSV of the easy page (full and `--otsu --sample 500 --seed 5`),
+the page bytes of the easy page made at sigma 0, and the first eight
+outputs of `u64_block` and `normal_block` for seed 1.
 """
 
 import contextlib
@@ -29,6 +32,7 @@ import pytest
 from inkscan import binarize, hsi_cube, segment, synth
 from inkscan.cli import main
 from inkscan.cluster import KMeansParams, kmeans_init
+from inkscan.rng import normal_block, u64_block
 
 BANDS = 33
 
@@ -55,18 +59,18 @@ def _close_spec() -> synth.SynthSpec:
 @pytest.fixture(scope="module")
 def pages(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    easy = root / "easy"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["synth", "--out-dir", str(easy), "--width", "128", "--height", "128",
-                     "--bands", "33", "--inks", "5", "--noise-sigma", "8",
-                     "--seed", "1"]) == 0
+    for name, sigma in (("easy", "8"), ("clean", "0")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out-dir", str(root / name), "--width", "128",
+                         "--height", "128", "--bands", "33", "--inks", "5",
+                         "--noise-sigma", sigma, "--seed", "1"]) == 0
     close = root / "close"
     cube, truth = synth.synth_document(_close_spec())
     (close / "bands").mkdir(parents=True)
     for b in range(1, cube.bands + 1):
         hsi_cube.write_gray_pgm(hsi_cube.band_image(cube, b), close / "bands" / f"band_{b}.pgm")
     segment.write_label_pgm(truth, close / "truth.pgm")
-    return {"easy": easy, "close": close}
+    return {"easy": root / "easy", "clean": root / "clean", "close": close}
 
 
 # page digest, render sha256, labels sha256, repr(inertia), iterations
@@ -130,3 +134,41 @@ def test_kmeanspp_init_pinned(pages, page):
     blob = b"".join(kmeans_init(spectra, KMeansParams(k=5, seed=s)).tobytes()
                     for s in range(3))
     assert _sha(blob) == GOLDEN_INIT[page]
+
+
+# sha256 of the `spectra` CSV of the easy page
+GOLDEN_SPECTRA = {
+    "full": "db03f5fc1149897d4ac0c8abc1e4ef9b47eb40a8879495b9b022229598b1587a",
+    "sample": "915b7ab30afd8afc698167062cf1c87215bccd78810479a368493df83401edd1",
+}
+
+SPECTRA_FLAGS = {
+    "full": [],
+    "sample": ["--otsu", "--sample", "500", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("export", ["full", "sample"])
+def test_spectra_csv_pinned(pages, tmp_path, export):
+    csv = tmp_path / "s.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectra", str(pages["easy"] / "bands"), *SPECTRA_FLAGS[export],
+                     "--out", str(csv)]) == 0
+    assert _sha(csv.read_bytes()) == GOLDEN_SPECTRA[export]
+
+
+def test_noise_free_page_pinned(pages):
+    assert _page_digest(pages["clean"]) == (
+        "5d64888e20ab6a7d52e617aaf1da2ffe363acd4318a3cdabedc9edd2ff0037fd"
+    )
+
+
+def test_stream_blocks_pinned():
+    assert u64_block(1, 0, 8).astype("<u8").tobytes().hex() == (
+        "c15c0289ec2d0a9167ec8e65a18debbe5e5532fbeea293f80bc942ee9086c171"
+        "b9b501d1d854bb7180021590ff0b4dc3a53c36d76cec99e0758527120fbbe785"
+    )
+    assert normal_block(1, 0, 8).astype("<f8").tobytes().hex() == (
+        "b2eca97dc030cebf3e9f1cab01c2ca3f59d79a318e96c9bff57c8f95c011f0bf"
+        "25326b8fe891f3bfca837b12a21fe7bf7aefb1d13b20debfe8053a656d24e23f"
+    )
