@@ -24,12 +24,10 @@ from .cluster import (
     kmeans_init,
 )
 from .hsi_cube import (
-    CubeManifest,
     GrayImage,
     HyperCube,
     band_image,
     load_cube,
-    read_gray_pgm,
     reference_image,
     write_gray_pgm,
 )

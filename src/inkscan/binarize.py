@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHistogram, DimensionMismatch, EmptyForeground, ZeroSpectrum
-from .hsi_cube import GrayImage, HyperCube
+from .hsi_cube import GrayImage, HyperCube, freeze_array
 
 KEEP_AT_OR_ABOVE = "keep-at-or-above"
 KEEP_BELOW = "keep-below"
@@ -39,12 +39,7 @@ class ForegroundMask:
     flags: np.ndarray
 
     def __post_init__(self):
-        flags = np.asarray(self.flags, dtype=bool)
-        if flags.ndim != 2:
-            raise ValueError(f"mask needs a 2-d array, got shape {flags.shape}")
-        flags = np.ascontiguousarray(flags)
-        flags.setflags(write=False)
-        object.__setattr__(self, "flags", flags)
+        freeze_array(self, "flags", bool, 2)
 
     @property
     def width(self) -> int:
@@ -72,18 +67,14 @@ class SpectrumSet:
     coords: np.ndarray
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
-        coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.int32))
-        if vectors.ndim != 2 or coords.ndim != 2 or coords.shape[1] != 2:
+        vectors = freeze_array(self, "vectors", np.float64, 2)
+        coords = freeze_array(self, "coords", np.int32, 2)
+        if coords.shape[1] != 2:
             raise ValueError("SpectrumSet needs (N, B) vectors and (N, 2) coords")
         if vectors.shape[0] != coords.shape[0]:
             raise ValueError(
                 f"{vectors.shape[0]} spectra but {coords.shape[0]} coordinates"
             )
-        vectors.setflags(write=False)
-        coords.setflags(write=False)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "coords", coords)
 
     @property
     def count(self) -> int:

@@ -13,6 +13,7 @@ All outputs are deterministic functions of the flags, seeds included.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -45,8 +46,8 @@ def _nonnegative_int(text):
 
 def _nonnegative_float(text):
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {value}")
     return value
 
 

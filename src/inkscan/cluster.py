@@ -25,12 +25,13 @@ the chunk's per-cluster sums and counts, added in chunk order.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .binarize import SpectrumSet
 from .errors import DimensionMismatch, EmptyInput, TooFewSamples
+from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
 INIT_KMEANSPP = "kmeanspp"
@@ -58,7 +59,7 @@ class KMeansParams:
             raise ValueError(f"unknown init {self.init!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:  # also rejects NaN
             raise ValueError("tolerance must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -69,8 +70,7 @@ class ClusterModel:
     """Fitted model: centroids are the means of their assigned samples.
 
     `inertia` is the within-cluster sum of squared distances for `labels`
-    against `centroids`. `inertia_trace` holds the after-update inertia of
-    every Lloyd iteration of the winning restart when tracing was enabled.
+    against `centroids`.
     """
 
     centroids: np.ndarray
@@ -78,15 +78,10 @@ class ClusterModel:
     inertia: float
     iterations: int
     converged: bool
-    inertia_trace: tuple = field(default=())
 
     def __post_init__(self):
-        for arr in (self.centroids, self.labels):
-            arr.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+        freeze_array(self, "centroids", np.float64, 2)
+        freeze_array(self, "labels", np.int32, 1)
 
 
 def _chunks(n: int):
@@ -310,7 +305,6 @@ def kmeans_fit(
     spectra: SpectrumSet,
     params: KMeansParams,
     workers: int = 1,
-    capture_trace: bool = False,
 ) -> ClusterModel:
     """Run Lloyd iterations to convergence, best of `params.restarts` runs.
 
@@ -331,18 +325,17 @@ def kmeans_fit(
     best = None
     with _Kernel(x, params.k, workers) as kern:
         for restart in range(params.restarts):
-            model = _fit_once(kern, params, params.seed + restart, capture_trace)
+            model = _fit_once(kern, params, params.seed + restart)
             if best is None or model.inertia < best.inertia:
                 best = model
     return best
 
 
-def _fit_once(kern, params, seed, capture_trace):
+def _fit_once(kern, params, seed):
     x = kern.x
     centroids = _init_centroids(kern, params.k, params.init, seed)
     tol2 = params.tolerance * params.tolerance
     labels = np.empty(x.shape[0], dtype=np.int32)
-    trace = []
     converged = False
     iterations = 0
 
@@ -360,8 +353,6 @@ def _fit_once(kern, params, seed, capture_trace):
         max_disp2 = float((moved * moved).sum(axis=1).max())
         centroids = new_centroids
 
-        if capture_trace:
-            trace.append(_inertia_fixed_order(x, centroids, labels))
         if max_disp2 <= tol2:
             converged = True
             break
@@ -372,5 +363,4 @@ def _fit_once(kern, params, seed, capture_trace):
         inertia=_inertia_fixed_order(x, centroids, labels),
         iterations=iterations,
         converged=converged,
-        inertia_trace=tuple(trace),
     )

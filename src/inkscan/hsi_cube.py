@@ -22,6 +22,23 @@ from .errors import (
 )
 
 
+def freeze_array(record, name: str, dtype, ndim: int) -> np.ndarray:
+    """Store field `name` of a frozen record as a read-only C-contiguous array.
+
+    The value is converted to `dtype`; a result that is not `ndim`-d
+    raises ValueError. Returns the stored array.
+    """
+    arr = np.asarray(getattr(record, name), dtype=dtype)
+    if arr.ndim != ndim:
+        raise ValueError(
+            f"{type(record).__name__}.{name} needs a {ndim}-d array, got shape {arr.shape}"
+        )
+    arr = np.ascontiguousarray(arr)
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     """Single-channel 8-bit image; `pixels` is (height, width) uint8."""
@@ -29,12 +46,7 @@ class GrayImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
-        if px.ndim != 2:
-            raise ValueError(f"GrayImage needs a 2-d array, got shape {px.shape}")
-        px = np.ascontiguousarray(px)
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
+        freeze_array(self, "pixels", np.uint8, 2)
 
     @property
     def width(self) -> int:
@@ -52,14 +64,8 @@ class HyperCube:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.uint8)
-        if arr.ndim != 3:
-            raise ValueError(f"HyperCube needs a 3-d array, got shape {arr.shape}")
-        if arr.size == 0:
+        if freeze_array(self, "data", np.uint8, 3).size == 0:
             raise ValueError("HyperCube dimensions must all be >= 1")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
 
     @property
     def bands(self) -> int:
@@ -78,25 +84,12 @@ class HyperCube:
         return self.data[:, y, x].astype(np.float64)
 
 
-@dataclass(frozen=True)
-class CubeManifest:
-    """Ordered (band_index, file_path) entries; indices must be exactly 1..B."""
+def read_manifest(path) -> list[tuple[int, str]]:
+    """Parse a manifest file: one `<band_index><TAB><relative path>` per line.
 
-    entries: tuple
-
-    def __post_init__(self):
-        indices = [i for i, _ in self.entries]
-        paths = [p for _, p in self.entries]
-        if sorted(indices) != list(range(1, len(indices) + 1)):
-            raise UnsupportedFormat(
-                f"manifest band indices must be exactly 1..{len(indices)}, got {sorted(indices)}"
-            )
-        if len(set(paths)) != len(paths):
-            raise UnsupportedFormat("manifest paths must be distinct")
-
-
-def read_manifest(path) -> CubeManifest:
-    """Parse a manifest file: one `<band_index><TAB><relative path>` per line."""
+    Returns the (band_index, path) entries sorted by index; the indices
+    must be exactly 1..B and the paths distinct.
+    """
     entries = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -113,7 +106,14 @@ def read_manifest(path) -> CubeManifest:
         except ValueError:
             raise UnsupportedFormat(f"{path}:{lineno}: bad band index {index_text!r}") from None
         entries.append((index, rel.strip()))
-    return CubeManifest(tuple(entries))
+    indices = sorted(i for i, _ in entries)
+    if indices != list(range(1, len(indices) + 1)):
+        raise UnsupportedFormat(
+            f"manifest band indices must be exactly 1..{len(indices)}, got {indices}"
+        )
+    if len({p for _, p in entries}) != len(entries):
+        raise UnsupportedFormat("manifest paths must be distinct")
+    return sorted(entries)
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -132,10 +132,7 @@ def _band_paths(source: Path) -> list[tuple[int, Path]]:
         files = sorted((p for p in source.iterdir() if p.suffix.lower() == ".pgm"),
                        key=lambda p: natural_key(p.name))
         return [(i, p) for i, p in enumerate(files, start=1)]
-    manifest = read_manifest(source)
-    base = source.parent
-    ordered = sorted(manifest.entries)
-    return [(i, base / rel) for i, rel in ordered]
+    return [(i, source.parent / rel) for i, rel in read_manifest(source)]
 
 
 def load_cube(source) -> HyperCube:
@@ -204,8 +201,3 @@ def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:
 def write_gray_pgm(image: GrayImage, path) -> None:
     """Write a GrayImage as binary PGM (P5, maxval 255)."""
     netpbm.write_pgm(image.pixels, path)
-
-
-def read_gray_pgm(path) -> GrayImage:
-    """Read a binary PGM written by `write_gray_pgm` (or compatible)."""
-    return GrayImage(netpbm.read_pgm(path))

@@ -98,11 +98,6 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def double_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform float64 block in [0, 1), one value per stream position."""
-    return (u64_block(seed, start, count) >> np.uint64(11)) * _DOUBLE_SCALE
-
-
 def normal_block(seed: int, start: int, count: int) -> np.ndarray:
     """`count` standard-normal draws via Box-Muller.
 

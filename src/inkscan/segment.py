@@ -4,7 +4,6 @@ Map labels use 0 for background and 1..k for cluster id + 1, so a single
 8-bit PGM channel carries the whole segmentation losslessly.
 """
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import numpy as np
 from . import netpbm
 from .binarize import ForegroundMask, SpectrumSet
 from .errors import CountMismatch, IoFailure, PaletteTooSmall, TooManyClusters
+from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
 # background first, then clusters in id order; byte-stable across runs
@@ -38,13 +38,9 @@ class SegmentationMap:
     k: int
 
     def __post_init__(self):
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int32))
-        if labels.ndim != 2:
-            raise ValueError(f"label map needs a 2-d array, got shape {labels.shape}")
+        labels = freeze_array(self, "labels", np.int32, 2)
         if labels.size and (labels.min() < 0 or labels.max() > self.k):
             raise ValueError(f"labels must lie in 0..{self.k}")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def width(self) -> int:
@@ -147,22 +143,19 @@ def export_spectra_csv(
     if sample_limit is not None and sample_limit < 0:
         raise ValueError("sample_limit must be >= 0")
     if sample_limit is None or sample_limit >= n:
-        rows = range(n)
+        rows = slice(None)
     else:
-        rng = SplitMix64(seed)
-        rows = sorted(rng.sample_indices(n, sample_limit))
+        rows = sorted(SplitMix64(seed).sample_indices(n, sample_limit))
 
-    buf = io.StringIO()
+    # select the rows before tolist(): converting all N rows costs more
+    # than it saves when only a sample is written
+    coords = spectra.coords[rows].tolist()
     header = ["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)]
-    buf.write(",".join(header) + "\n")
-    count = 0
-    for i in rows:
-        x, y = spectra.coords[i]
-        values = ",".join(repr(float(v)) for v in spectra.vectors[i])
-        buf.write(f"{int(x)},{int(y)},{values}\n")
-        count += 1
+    lines = [",".join(header)]
+    lines += [f"{x},{y},{','.join(map(repr, values))}"
+              for (x, y), values in zip(coords, spectra.vectors[rows].tolist())]
     try:
-        Path(path).write_text(buf.getvalue(), encoding="utf-8")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return count
+    return len(coords)

@@ -53,8 +53,8 @@ class SynthSpec:
             raise InvalidSpec("ink_count must be >= 1")
         if not 0.0 < self.coverage < 1.0:
             raise InvalidSpec("coverage must lie strictly between 0 and 1")
-        if self.noise_sigma < 0.0:
-            raise InvalidSpec("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise InvalidSpec("noise_sigma must be finite and >= 0")
         if not 0 <= self.background_level <= 255:
             raise InvalidSpec("background_level must lie in 0..255")
         if self.ink_signatures is not None:

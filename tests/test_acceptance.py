@@ -23,7 +23,7 @@ from inkscan.synth import best_permutation_accuracy
 
 from conftest import make_spectrum_set
 from test_binarize import exhaustive_otsu
-from test_cluster import best_two_partition, brute_force_assign
+from test_cluster import best_two_partition, brute_force_assign, lloyd_trace
 from test_synth import independent_best_accuracy
 
 
@@ -71,7 +71,7 @@ def test_criterion_2_noise_free_exactness(tmp_path):
         assert accuracy == 1.0, f"seed {seed}"
 
 
-def test_criterion_3_inertia_trace_monotone():
+def test_criterion_3_inertia_trace_monotone(monkeypatch):
     generator = np.random.default_rng(33)
     fits = 0
     while fits < 100:
@@ -82,12 +82,11 @@ def test_criterion_3_inertia_trace_monotone():
             continue
         points = generator.normal(size=(n, b)) * generator.uniform(0.5, 30.0)
         init = INIT_RANDOM if fits % 2 else INIT_KMEANSPP
-        model = kmeans_fit(
+        _, trace = lloyd_trace(
             make_spectrum_set(points),
             KMeansParams(k=k, seed=fits, init=init, max_iterations=80),
-            capture_trace=True,
+            monkeypatch,
         )
-        trace = model.inertia_trace
         assert len(trace) >= 1
         for earlier, later in zip(trace, trace[1:]):
             assert later <= earlier * (1 + 1e-9), (fits, n, b, k)

@@ -201,6 +201,14 @@ class TestSegment:
         assert main(["segment", str(synth_dir / "bands"), "--tol", "-1",
                      "--out-render", "r.ppm", "--out-labels", "l.pgm"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2_without_output(self, synth_dir, tmp_path, capsys,
+                                                          tol):
+        code, render, labels = self.run_segment(synth_dir, tmp_path, "t", ["--tol", tol])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not render.exists() and not labels.exists()
+
 
 class TestSynth:
     def test_outputs_complete_and_loadable(self, synth_dir):
@@ -230,6 +238,13 @@ class TestSynth:
 
     def test_zero_inks_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path / "x"), "--inks", "0"]) == 2
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_exits_2_without_output(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), f"--noise-sigma={sigma}"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unattainable_spec_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--out-dir", str(tmp_path / "x"), "--width", "4",
@@ -273,6 +288,16 @@ class TestUsage:
 
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_cli_loads_no_undeclared_dependency(self):
+        # numpy is the only declared runtime dependency
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, inkscan.cli; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        loaded = {name.split(".")[0] for name in result.stdout.split()}
+        assert "numpy" in loaded
+        assert not loaded & {"scipy", "hypothesis", "pytest_benchmark"}
 
     def test_console_entrypoint_smoke(self, tmp_path):
         result = subprocess.run(

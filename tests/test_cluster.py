@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from inkscan import cluster
 from inkscan.cluster import (
     CHUNK_SIZE,
     INIT_KMEANSPP,
@@ -23,6 +24,28 @@ from inkscan.cluster import (
 )
 from inkscan.errors import DimensionMismatch, EmptyInput, TooFewSamples
 from conftest import make_spectrum_set
+
+
+def lloyd_trace(spectra, params, monkeypatch):
+    """Fit one restart; return (model, inertia after each Lloyd iteration).
+
+    Wraps `_lloyd_pass` to copy the centroids and labels it starts from:
+    those of the previous iteration after its centroid update. The last
+    iteration's value is the model's own inertia.
+    """
+    assert params.restarts == 1
+    entries = []
+    lloyd_pass = cluster._lloyd_pass
+
+    def spy(kern, centroids, labels):
+        entries.append((centroids.copy(), labels.copy()))
+        return lloyd_pass(kern, centroids, labels)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cluster, "_lloyd_pass", spy)
+        model = kmeans_fit(spectra, params)
+    trace = [inertia(c, spectra, labels) for c, labels in entries[1:]]
+    return model, trace + [model.inertia]
 
 
 def brute_force_assign(points, centroids):
@@ -161,22 +184,20 @@ class TestFit:
             check = inertia(model.centroids, spectra, model.labels)
             assert math.isclose(check, model.inertia, rel_tol=1e-9, abs_tol=1e-12)
 
-    def test_inertia_trace_non_increasing(self, rng):
+    def test_inertia_trace_non_increasing(self, rng, monkeypatch):
         for trial in range(30):
             n = int(rng.integers(5, 120))
             b = int(rng.integers(1, 8))
             k = int(rng.integers(1, min(n, 6) + 1))
             points = rng.normal(size=(n, b)) * rng.uniform(0.5, 20)
-            model = kmeans_fit(
+            model, trace = lloyd_trace(
                 make_spectrum_set(points),
                 KMeansParams(k=k, seed=trial, init=INIT_RANDOM),
-                capture_trace=True,
+                monkeypatch,
             )
-            trace = model.inertia_trace
             assert len(trace) == model.iterations
             for earlier, later in zip(trace, trace[1:]):
                 assert later <= earlier * (1 + 1e-9) + 1e-12
-            assert model.inertia == trace[-1]
 
     def test_byte_identical_across_runs_and_workers(self, rng):
         points = rng.normal(size=(900, 5))
@@ -335,6 +356,8 @@ class TestParams:
             KMeansParams(k=1, max_iterations=0)
         with pytest.raises(ValueError):
             KMeansParams(k=1, tolerance=-1.0)
+        with pytest.raises(ValueError):
+            KMeansParams(k=1, tolerance=math.nan)
         with pytest.raises(ValueError):
             KMeansParams(k=1, restarts=0)
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from inkscan import netpbm
+from inkscan.binarize import ForegroundMask, SpectrumSet
+from inkscan.cluster import ClusterModel
 from inkscan.errors import (
     BandOutOfRange,
     DimensionMismatch,
@@ -20,11 +22,11 @@ from inkscan.hsi_cube import (
     band_image,
     load_cube,
     natural_key,
-    read_gray_pgm,
     read_manifest,
     reference_image,
     write_gray_pgm,
 )
+from inkscan.segment import SegmentationMap
 
 
 def write_band(path, value_or_array, shape=(4, 3)):
@@ -54,6 +56,7 @@ def test_manifest_load_honors_declared_order(tmp_path):
         write_band(tmp_path / f"x{i}.pgm", value)
     manifest = tmp_path / "cube.manifest"
     manifest.write_text("3\tx3.pgm\n1\tx1.pgm\n2\tx2.pgm\n")
+    assert read_manifest(manifest) == [(1, "x1.pgm"), (2, "x2.pgm"), (3, "x3.pgm")]
     cube = load_cube(manifest)
     assert [int(cube.data[b, 0, 0]) for b in range(3)] == [40, 80, 120]
 
@@ -214,7 +217,7 @@ def test_load_is_deterministic(tmp_path, rng):
 def test_gray_pgm_round_trip(tmp_path, rng):
     image = GrayImage(rng.integers(0, 256, size=(9, 2)).astype(np.uint8))
     write_gray_pgm(image, tmp_path / "g.pgm")
-    assert np.array_equal(read_gray_pgm(tmp_path / "g.pgm").pixels, image.pixels)
+    assert np.array_equal(netpbm.read_pgm(tmp_path / "g.pgm"), image.pixels)
 
 
 def test_pixel_spectrum_matches_layout(rng):
@@ -228,3 +231,49 @@ def test_binary_file_as_manifest_is_unsupported(tmp_path):
     write_band(path, 3)
     with pytest.raises(UnsupportedFormat):
         load_cube(path)
+
+
+# record, array field, stored dtype, a valid shape, the other fields
+FROZEN_FIELDS = {
+    "GrayImage.pixels": (GrayImage, "pixels", np.uint8, (4, 6), {}),
+    "HyperCube.data": (HyperCube, "data", np.uint8, (3, 4, 6), {}),
+    "ForegroundMask.flags": (ForegroundMask, "flags", np.bool_, (4, 6), {}),
+    "SpectrumSet.vectors": (SpectrumSet, "vectors", np.float64, (6, 4),
+                            {"coords": np.zeros((6, 2))}),
+    "SpectrumSet.coords": (SpectrumSet, "coords", np.int32, (6, 2),
+                           {"vectors": np.zeros((6, 4))}),
+    "SegmentationMap.labels": (SegmentationMap, "labels", np.int32, (4, 6), {"k": 1}),
+    "ClusterModel.centroids": (ClusterModel, "centroids", np.float64, (2, 3),
+                               {"labels": np.zeros(6, dtype=np.int32), "inertia": 0.0,
+                                "iterations": 1, "converged": True}),
+    "ClusterModel.labels": (ClusterModel, "labels", np.int32, (6,),
+                            {"centroids": np.zeros((2, 3)), "inertia": 0.0,
+                             "iterations": 1, "converged": True}),
+}
+
+
+@pytest.mark.parametrize("field", FROZEN_FIELDS)
+def test_record_rejects_wrong_ndim(field):
+    record, name, _, shape, others = FROZEN_FIELDS[field]
+    for bad in (np.zeros(shape + (1,)), np.zeros(())):  # a 0-d value too
+        with pytest.raises(ValueError, match=f"{record.__name__}.{name}"):
+            record(**{name: bad}, **others)
+
+
+@pytest.mark.parametrize("layout", ["strided", "transposed"])
+@pytest.mark.parametrize("field", FROZEN_FIELDS)
+def test_record_stores_read_only_c_array(field, layout):
+    record, name, dtype, shape, others = FROZEN_FIELDS[field]
+    expected = (np.arange(math.prod(shape)) % 2).reshape(shape)  # int64
+    if layout == "strided":
+        given = np.repeat(expected, 2, axis=-1)[..., ::2]
+    elif expected.ndim > 1:
+        given = expected.T.copy().T
+    else:  # a 1-d field is stored reversed instead
+        given = expected[::-1].copy()[::-1]
+    assert not given.flags.c_contiguous
+    stored = getattr(record(**{name: given}, **others), name)
+    assert stored.flags.c_contiguous
+    assert not stored.flags.writeable
+    assert stored.dtype == dtype
+    assert np.array_equal(stored, expected)

@@ -1,6 +1,7 @@
 """Synthetic document generator and the best-permutation scoring oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,9 @@ class TestSynthDocument:
             small_spec(coverage=0.0)
         with pytest.raises(InvalidSpec):
             small_spec(noise_sigma=-1.0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(InvalidSpec):
+                small_spec(noise_sigma=sigma)
         with pytest.raises(InvalidSpec):
             SynthSpec(width=3, height=3, bands=2, ink_count=8, coverage=0.1, seed=0)
         with pytest.raises(InvalidSpec):
