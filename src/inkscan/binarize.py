@@ -9,7 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHistogram, DimensionMismatch, EmptyForeground, ZeroSpectrum
+from .errors import (
+    DegenerateHistogram,
+    DimensionMismatch,
+    EmptyForeground,
+    InvalidSpec,
+    ZeroSpectrum,
+)
 from .hsi_cube import GrayImage, HyperCube, freeze_array
 
 KEEP_AT_OR_ABOVE = "keep-at-or-above"
@@ -27,9 +33,9 @@ class ThresholdConfig:
 
     def __post_init__(self):
         if not 0 <= self.value <= 255:
-            raise ValueError(f"threshold {self.value} not in 0..255")
+            raise InvalidSpec(f"threshold {self.value} not in 0..255")
         if self.polarity not in (KEEP_AT_OR_ABOVE, KEEP_BELOW):
-            raise ValueError(f"unknown polarity {self.polarity!r}")
+            raise InvalidSpec(f"unknown polarity {self.polarity!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,15 +5,17 @@ Subcommands wire the pipeline end to end: `bands` exports band views,
 pixels and renders the result, `synth` generates a ground-truth document,
 and `eval` scores a predicted label map against truth.
 
-The parsed argparse namespace is the run configuration; every flag is
-validated up front so a bad invocation exits 2 before any work starts.
+Each command builds its configuration records (`ThresholdConfig`,
+`KMeansParams`, `SynthSpec`) from the parsed flags before any I/O; the
+records are the only validators of the flags they hold, and argparse
+checks the rest. So a bad invocation exits 2 before any work starts.
 Runtime/data failures exit 1 with a message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
 """
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -44,27 +46,6 @@ def _nonnegative_int(text):
     return value
 
 
-def _nonnegative_float(text):
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {value}")
-    return value
-
-
-def _intensity(text):
-    value = int(text)
-    if not 0 <= value <= 255:
-        raise argparse.ArgumentTypeError(f"expected an intensity in 0..255, got {value}")
-    return value
-
-
-def _coverage(text):
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"coverage must lie strictly in (0, 1), got {value}")
-    return value
-
-
 def _seed(text):
     return int(text) & ((1 << 64) - 1)
 
@@ -80,7 +61,7 @@ def _band_list(text):
 
 
 def _reference_mode(text):
-    if text == "mean" or (text.startswith("band:") and text[5:].isdigit()):
+    if text == "mean" or (text.startswith("band:") and text[5:].isdecimal()):
         return text
     raise argparse.ArgumentTypeError(
         f"reference mode must be 'mean' or 'band:<i>', got {text!r}"
@@ -88,7 +69,7 @@ def _reference_mode(text):
 
 
 def _add_threshold_flags(parser):
-    parser.add_argument("--threshold", type=_intensity, default=binarize.DEFAULT_THRESHOLD,
+    parser.add_argument("--threshold", type=int, default=binarize.DEFAULT_THRESHOLD,
                         help="binary threshold t in 0..255 (default 40)")
     parser.add_argument("--polarity", choices=[binarize.KEEP_AT_OR_ABOVE, binarize.KEEP_BELOW],
                         default=binarize.KEEP_AT_OR_ABOVE,
@@ -107,11 +88,11 @@ def _add_cluster_flags(parser):
     parser.add_argument("--init", choices=[cluster.INIT_KMEANSPP, cluster.INIT_RANDOM],
                         default=cluster.INIT_KMEANSPP,
                         help="centroid initialization (default kmeanspp)")
-    parser.add_argument("--max-iter", type=_positive_int, default=300,
+    parser.add_argument("--max-iter", type=int, default=300,
                         help="Lloyd iteration cap (default 300)")
-    parser.add_argument("--tol", type=_nonnegative_float, default=1e-6,
+    parser.add_argument("--tol", type=float, default=1e-6,
                         help="max centroid displacement declaring convergence (default 1e-6)")
-    parser.add_argument("--restarts", type=_positive_int, default=1,
+    parser.add_argument("--restarts", type=int, default=1,
                         help="seeded restarts, best inertia wins (default 1)")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="assignment threads; results are identical for any count")
@@ -153,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic multi-ink document")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--width", type=_positive_int, default=512)
-    p.add_argument("--height", type=_positive_int, default=512)
-    p.add_argument("--bands", type=_positive_int, default=33)
-    p.add_argument("--inks", type=_positive_int, default=5)
-    p.add_argument("--noise-sigma", type=_nonnegative_float, default=0.0)
-    p.add_argument("--coverage", type=_coverage, default=0.15)
-    p.add_argument("--background-level", type=_intensity, default=0)
+    p.add_argument("--width", type=int, default=512)
+    p.add_argument("--height", type=int, default=512)
+    p.add_argument("--bands", type=int, default=33)
+    p.add_argument("--inks", type=int, default=5)
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--coverage", type=float, default=0.15)
+    p.add_argument("--background-level", type=int, default=0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true", help="print a one-line JSON summary")
 
@@ -171,18 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reference(args):
+def _reference(args, config):
     cube = hsi_cube.load_cube(args.input)
     ref = hsi_cube.reference_image(cube, args.reference)
-    threshold = args.threshold
     if args.otsu:
         try:
-            threshold = binarize.otsu_threshold(ref)
+            config = dataclasses.replace(config, value=binarize.otsu_threshold(ref))
         except DegenerateHistogram:
-            print(f"otsu degenerate; falling back to t={threshold}", file=sys.stderr)
-    config = binarize.ThresholdConfig(threshold, args.polarity)
-    mask = binarize.threshold_binary(ref, config)
-    return cube, mask
+            print(f"otsu degenerate; falling back to t={config.value}", file=sys.stderr)
+    return cube, binarize.threshold_binary(ref, config)
 
 
 def cmd_bands(args) -> int:
@@ -197,7 +175,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    cube, mask = _reference(args)
+    config = binarize.ThresholdConfig(args.threshold, args.polarity)
+    cube, mask = _reference(args, config)
     spectra = binarize.extract_spectra(cube, mask)
     spectra = binarize.normalize_spectra(spectra, args.normalize)
     rows = segment.export_spectra_csv(spectra, args.out, args.sample, args.seed)
@@ -216,9 +195,6 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cube, mask = _reference(args)
-    spectra = binarize.extract_spectra(cube, mask)
-    spectra = binarize.normalize_spectra(spectra, args.normalize)
     params = cluster.KMeansParams(
         k=args.k,
         init=args.init,
@@ -227,6 +203,10 @@ def cmd_segment(args) -> int:
         tolerance=args.tol,
         restarts=args.restarts,
     )
+    config = binarize.ThresholdConfig(args.threshold, args.polarity)
+    cube, mask = _reference(args, config)
+    spectra = binarize.extract_spectra(cube, mask)
+    spectra = binarize.normalize_spectra(spectra, args.normalize)
     model = cluster.kmeans_fit(spectra, params, workers=args.workers)
     segmap = segment.build_label_map(mask, model.labels, args.k)
     palette = segment.default_palette(args.k)
@@ -344,15 +324,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except InvalidSpec as exc:
+    except (InkscanError, OSError) as exc:
         print(f"inkscan {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except InkscanError as exc:
-        print(f"inkscan {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"inkscan {args.command}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidSpec) else 1
 
 
 def entrypoint() -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import SpectrumSet
-from .errors import DimensionMismatch, EmptyInput, TooFewSamples
+from .errors import DimensionMismatch, EmptyInput, InvalidSpec, TooFewSamples
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
@@ -54,15 +54,15 @@ class KMeansParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise InvalidSpec("k must be >= 1")
         if self.init not in (INIT_KMEANSPP, INIT_RANDOM):
-            raise ValueError(f"unknown init {self.init!r}")
+            raise InvalidSpec(f"unknown init {self.init!r}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance >= 0:  # also rejects NaN
-            raise ValueError("tolerance must be >= 0")
+            raise InvalidSpec("max_iterations must be >= 1")
+        if not 0 <= self.tolerance < np.inf:  # also rejects NaN
+            raise InvalidSpec(f"tolerance must be finite and >= 0, got {self.tolerance}")
         if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+            raise InvalidSpec("restarts must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,15 +315,8 @@ def kmeans_fit(
     to `tolerance` or `max_iterations` is reached. Restart r uses seed
     seed+r; the lowest-inertia restart wins, ties to the lowest r.
     """
-    x = spectra.vectors
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyInput("no samples to cluster")
-    if n < params.k:
-        raise TooFewSamples(f"{n} samples for k={params.k}")
-
-    best = None
-    with _Kernel(x, params.k, workers) as kern:
+    best = None  # _init_centroids rejects too few samples
+    with _Kernel(spectra.vectors, params.k, workers) as kern:
         for restart in range(params.restarts):
             model = _fit_once(kern, params, params.seed + restart)
             if best is None or model.inertia < best.inertia:

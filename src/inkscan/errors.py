@@ -87,5 +87,5 @@ class TooManyClustersForExhaustive(InkscanError):
     """Cluster count exceeds the exhaustive permutation-search regime."""
 
 
-class InvalidSpec(InkscanError):
-    """A synthetic-document spec violates its invariants."""
+class InvalidSpec(InkscanError, ValueError):
+    """A configuration record (spec, parameters, threshold) violates its invariants."""

@@ -26,14 +26,16 @@ def freeze_array(record, name: str, dtype, ndim: int) -> np.ndarray:
     """Store field `name` of a frozen record as a read-only C-contiguous array.
 
     The value is converted to `dtype`; a result that is not `ndim`-d
-    raises ValueError. Returns the stored array.
+    raises ValueError. The record keeps a read-only view, so a caller's
+    array is never frozen (nor copied, if no conversion is needed).
+    Returns the stored array.
     """
     arr = np.asarray(getattr(record, name), dtype=dtype)
     if arr.ndim != ndim:
         raise ValueError(
             f"{type(record).__name__}.{name} needs a {ndim}-d array, got shape {arr.shape}"
         )
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr).view()
     arr.setflags(write=False)
     object.__setattr__(record, name, arr)
     return arr
@@ -101,6 +103,8 @@ def read_manifest(path) -> list[tuple[int, str]]:
         index_text, sep, rel = line.partition("\t")
         if not sep or not rel.strip():
             raise UnsupportedFormat(f"{path}:{lineno}: expected '<index><TAB><path>'")
+        if "\0" in rel:
+            raise UnsupportedFormat(f"{path}:{lineno}: NUL byte in band path")
         try:
             index = int(index_text)
         except ValueError:
@@ -122,7 +126,7 @@ _DIGITS = re.compile(r"(\d+)")
 def natural_key(name: str):
     """Sort key placing band2 before band10."""
     return tuple(
-        (1, int(tok)) if tok.isdigit() else (0, tok.lower())
+        (1, int(tok)) if tok.isdecimal() else (0, tok.lower())
         for tok in _DIGITS.split(name)
     )
 
@@ -189,12 +193,8 @@ def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:
         b = cube.bands
         mean = (2 * sums + b) // (2 * b)  # round-half-up of sums/b
         return GrayImage(mean.astype(np.uint8))
-    if mode.startswith("band:"):
-        try:
-            index = int(mode[5:])
-        except ValueError:
-            raise ValueError(f"bad reference mode {mode!r}") from None
-        return band_image(cube, index)
+    if mode.startswith("band:") and mode[5:].isdecimal():  # as the CLI checks it
+        return band_image(cube, int(mode[5:]))
     raise ValueError(f"bad reference mode {mode!r}; use 'mean' or 'band:<i>'")
 
 

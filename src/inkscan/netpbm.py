@@ -1,9 +1,10 @@
 """Binary netpbm (PGM P5 / PPM P6) encoding and decoding, maxval 255.
 
 Writers emit the canonical header ``P5\\n<w> <h>\\n255\\n`` (P6 for color)
-followed by row-major samples, so output files are byte-stable. The reader
-accepts the full netpbm header grammar (whitespace runs, ``#`` comments)
-but only 8-bit maxval.
+followed by row-major samples, so output files are byte-stable. The one
+reader accepts the full netpbm header grammar (whitespace runs, ``#``
+comments, zero-padded fields) but only 8-bit maxval; any other bytes raise
+UnsupportedFormat.
 """
 
 import re
@@ -13,7 +14,10 @@ import numpy as np
 
 from .errors import IoFailure, UnsupportedFormat
 
-_TOKEN = re.compile(rb"^[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*([0-9]+)")
+_TOKEN = re.compile(rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*0*([0-9]+)")
+# a field with more significant digits than this cannot describe an image
+# that fits in memory (and would trip int()'s 4300-digit limit)
+_MAX_DIGITS = 18
 
 
 def _parse_header(data: bytes, magic: bytes, path):
@@ -22,11 +26,13 @@ def _parse_header(data: bytes, magic: bytes, path):
     pos = len(magic)
     fields = []
     for _ in range(3):
-        m = _TOKEN.match(data[pos:])
+        m = _TOKEN.match(data, pos)
         if m is None:
             raise UnsupportedFormat(f"{path}: truncated netpbm header")
+        if len(m.group(1)) > _MAX_DIGITS:
+            raise UnsupportedFormat(f"{path}: netpbm header field too long")
         fields.append(int(m.group(1)))
-        pos += m.end()
+        pos = m.end()
     # exactly one whitespace byte separates the header from the raster
     if pos >= len(data) or data[pos:pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
         raise UnsupportedFormat(f"{path}: malformed netpbm header")
@@ -39,59 +45,50 @@ def _parse_header(data: bytes, magic: bytes, path):
     return width, height, pos
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM into a (height, width) uint8 array."""
+def _read(path, magic: bytes, channels: int) -> np.ndarray:
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    width, height, pos = _parse_header(data, b"P5", path)
-    n = width * height
+    width, height, pos = _parse_header(data, magic, path)
+    n = height * width * channels
     if len(data) - pos < n:
-        raise UnsupportedFormat(f"{path}: raster shorter than {width}x{height}")
-    return np.frombuffer(data, dtype=np.uint8, count=n, offset=pos).reshape(height, width)
+        raise UnsupportedFormat(f"{path}: raster shorter than {width}x{height}x{channels}")
+    return np.frombuffer(data, np.uint8, n, pos).reshape(height, width, channels)
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary PGM into a (height, width) uint8 array."""
+    return _read(path, b"P5", 1)[:, :, 0]
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into a (height, width, 3) uint8 array."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    width, height, pos = _parse_header(data, b"P6", path)
-    n = width * height * 3
-    if len(data) - pos < n:
-        raise UnsupportedFormat(f"{path}: raster shorter than {width}x{height} RGB")
-    return np.frombuffer(data, dtype=np.uint8, count=n, offset=pos).reshape(height, width, 3)
+    return _read(path, b"P6", 3)
 
 
-def _encode(magic: bytes, pixels: np.ndarray) -> bytes:
+def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     height, width = pixels.shape[:2]
     if width < 1 or height < 1:
         raise IoFailure(f"refusing to write {width}x{height} image")
     header = b"%s\n%d %d\n255\n" % (magic, width, height)
-    return header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes()
+    try:
+        Path(path).write_bytes(header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:
     """Write a (height, width) uint8 array as binary PGM."""
     if pixels.ndim != 2:
         raise IoFailure(f"PGM needs a 2-d array, got shape {pixels.shape}")
-    payload = _encode(b"P5", pixels)
-    try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write(path, b"P5", pixels)
 
 
 def write_ppm(pixels: np.ndarray, path) -> None:
     """Write a (height, width, 3) uint8 array as binary PPM."""
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise IoFailure(f"PPM needs a (h, w, 3) array, got shape {pixels.shape}")
-    payload = _encode(b"P6", pixels)
-    try:
-        Path(path).write_bytes(payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write(path, b"P6", pixels)

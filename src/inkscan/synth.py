@@ -49,8 +49,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.bands < 1:
             raise InvalidSpec("width, height, and bands must all be >= 1")
-        if self.ink_count < 1:
-            raise InvalidSpec("ink_count must be >= 1")
+        if not 1 <= self.ink_count <= 255:  # truth labels are 8-bit
+            raise InvalidSpec(f"ink_count must lie in 1..255, got {self.ink_count}")
         if not 0.0 < self.coverage < 1.0:
             raise InvalidSpec("coverage must lie strictly between 0 and 1")
         if not 0.0 <= self.noise_sigma < np.inf:

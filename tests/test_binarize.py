@@ -19,6 +19,7 @@ from inkscan.errors import (
     DegenerateHistogram,
     DimensionMismatch,
     EmptyForeground,
+    InvalidSpec,
     ZeroSpectrum,
 )
 from inkscan.hsi_cube import GrayImage, HyperCube
@@ -91,6 +92,12 @@ class TestThresholdBinary:
             ThresholdConfig(256)
         with pytest.raises(ValueError):
             ThresholdConfig(40, "keep-everything")
+
+    def test_invalid_config_is_invalid_spec(self):
+        for bad in ((300,), (-1,), (40, "keep-everything")):
+            with pytest.raises(InvalidSpec) as info:
+                ThresholdConfig(*bad)
+            assert isinstance(info.value, ValueError)
 
 
 class TestOtsu:

@@ -94,6 +94,14 @@ class TestSpectra:
         assert main(["spectra", str(synth_dir / "bands"), "--reference", "band(2)",
                      "--out", str(tmp_path / "t.csv")]) == 2
 
+    @pytest.mark.parametrize("mode", ["band:\u00b2", "band:-1", "band: 2"])
+    def test_reference_mode_int_cannot_parse_exits_2(self, tmp_path, capsys, mode):
+        # "\u00b2" (superscript two) is a digit to str.isdigit() but not to int()
+        code = main(["spectra", str(tmp_path / "missing"), "--reference", mode,
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "reference mode" in capsys.readouterr().err
+
     def test_otsu_picks_threshold(self, synth_dir, tmp_path, capsys):
         code = main(["spectra", str(synth_dir / "bands"), "--otsu",
                      "--out", str(tmp_path / "s.csv")])
@@ -210,6 +218,35 @@ class TestSegment:
         assert not render.exists() and not labels.exists()
 
 
+class TestRecordsValidateFlags:
+    """Flags held by a configuration record are checked by that record,
+    which each command builds before it loads anything."""
+
+    @pytest.mark.parametrize("argv, rule", [
+        (["segment", "--threshold", "300"], "threshold"),
+        (["segment", "--max-iter", "0"], "max_iterations"),
+        (["segment", "--restarts", "0"], "restarts"),
+        (["spectra", "--threshold", "-1"], "threshold"),
+    ])
+    def test_exits_2_before_loading(self, tmp_path, capsys, argv, rule):
+        # the input does not exist: a check after loading would exit 1
+        outputs = ["--out-render", str(tmp_path / "r.ppm"),
+                   "--out-labels", str(tmp_path / "l.pgm")]
+        if argv[0] == "spectra":
+            outputs = ["--out", str(tmp_path / "s.csv")]
+        code = main([argv[0], str(tmp_path / "missing"), *argv[1:], *outputs])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert rule in err and "does not exist" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_inks_above_8_bit_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--inks", "256"]) == 2
+        assert "ink_count" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynth:
     def test_outputs_complete_and_loadable(self, synth_dir):
         assert (synth_dir / "truth.pgm").exists()
@@ -268,6 +305,14 @@ class TestEval:
         code = main(["eval", str(tmp_path / "perm.pgm"), str(synth_dir / "truth.pgm")])
         assert code == 0
         assert "accuracy=1.000000" in capsys.readouterr().out
+
+    def test_overlong_header_field_exits_1_with_one_line(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n" + b"7" * 5000 + b" 1\n255\n\x00")
+        code = main(["eval", str(bad), str(synth_dir / "truth.pgm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "header field too long" in err
 
     def test_dimension_mismatch_exits_1(self, synth_dir, tmp_path, capsys):
         netpbm.write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "small.pgm")

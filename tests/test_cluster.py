@@ -22,7 +22,7 @@ from inkscan.cluster import (
     kmeans_fit,
     kmeans_init,
 )
-from inkscan.errors import DimensionMismatch, EmptyInput, TooFewSamples
+from inkscan.errors import DimensionMismatch, EmptyInput, InvalidSpec, TooFewSamples
 from conftest import make_spectrum_set
 
 
@@ -291,6 +291,28 @@ class TestInit:
             sides = {p[0] > 50 for p in c.tolist()}
             assert sides == {True, False}
 
+    def test_kmeanspp_zero_mass_draws_from_unchosen(self):
+        # two distinct values, k = 4: once both are chosen every D^2 is 0,
+        # so the last two centres come from the uniform fallback. Bands
+        # 1..3 tag each row's index in the sign bits of zeros, which leave
+        # every distance unchanged, so the chosen indices can be read back.
+        points = np.zeros((6, 4))
+        points[:, 0] = np.arange(6) % 2
+        for i in range(6):
+            for bit in range(3):
+                if i >> bit & 1:
+                    points[i, 1 + bit] = -0.0
+        spectra = make_spectrum_set(points)
+        pinned = {0: [1, 2, 5, 3], 1: [5, 4, 2, 3], 2: [4, 5, 3, 0],
+                  3: [3, 4, 1, 5], 4: [4, 5, 3, 0], 5: [2, 5, 4, 3]}
+        for seed, expected in pinned.items():
+            c = kmeans_init(spectra, KMeansParams(k=4, seed=seed))
+            chosen = (np.signbit(c[:, 1:]) @ [1, 2, 4]).tolist()
+            assert chosen == expected, seed
+            assert c[:, 0].tolist() == [i % 2 for i in chosen]
+            assert expected[0] % 2 != expected[1] % 2  # D^2 mass picks the other value
+            assert len(set(expected)) == 4  # the fallback skips chosen rows
+
 
 class TestAssignAndInertia:
     def test_sample_on_centroid(self):
@@ -360,6 +382,15 @@ class TestParams:
             KMeansParams(k=1, tolerance=math.nan)
         with pytest.raises(ValueError):
             KMeansParams(k=1, restarts=0)
+
+    def test_invalid_params_are_invalid_spec(self):
+        for bad in ({"k": 0}, {"init": "plusplus"}, {"max_iterations": 0},
+                    {"tolerance": -1.0}, {"tolerance": math.nan}, {"restarts": 0}):
+            with pytest.raises(InvalidSpec):
+                KMeansParams(**{"k": 1, **bad})
+        with pytest.raises(InvalidSpec, match="finite") as info:
+            KMeansParams(k=1, tolerance=float("inf"))
+        assert isinstance(info.value, ValueError)
 
 
 class TestKernel:

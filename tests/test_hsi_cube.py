@@ -90,6 +90,31 @@ def test_manifest_missing_band_file(tmp_path):
         load_cube(m)
 
 
+def test_directory_load_survives_non_decimal_digit_names(tmp_path):
+    # "\u00b2" (superscript two) is a digit to str.isdigit() but not to int()
+    write_band(tmp_path / "\u00b21.pgm", 7)
+    write_band(tmp_path / "band_2.pgm", 9)
+    assert natural_key("\u00b21.pgm") == ((0, "\u00b2"), (1, 1), (0, ".pgm"))
+    assert load_cube(tmp_path).data[:, 0, 0].tolist() == [9, 7]  # "band_" < "\u00b2"
+
+
+def test_reference_mode_grammar(rng):
+    cube = HyperCube(rng.integers(0, 256, size=(4, 3, 3)).astype(np.uint8))
+    for mode in ("band:\u00b2", "band:-1", "band:+2", "band: 2", "band:"):
+        with pytest.raises(ValueError, match="reference mode"):
+            reference_image(cube, mode)
+
+
+def test_manifest_rejects_nul_in_path(tmp_path):
+    write_band(tmp_path / "a.pgm", 1)
+    m = tmp_path / "m.txt"
+    m.write_text("1\ta.pgm\x00x\n")
+    with pytest.raises(UnsupportedFormat, match="NUL"):
+        read_manifest(m)
+    with pytest.raises(UnsupportedFormat, match="NUL"):
+        load_cube(m)
+
+
 def test_dimension_mismatch_carries_details(tmp_path):
     write_band(tmp_path / "band_1.pgm", 0, shape=(10, 10))
     write_band(tmp_path / "band_2.pgm", 0, shape=(9, 10))
@@ -277,3 +302,15 @@ def test_record_stores_read_only_c_array(field, layout):
     assert not stored.flags.writeable
     assert stored.dtype == dtype
     assert np.array_equal(stored, expected)
+
+
+@pytest.mark.parametrize("field", FROZEN_FIELDS)
+def test_record_leaves_caller_array_writeable(field):
+    # an array that needs no conversion is shared, not copied or frozen
+    record, name, dtype, shape, others = FROZEN_FIELDS[field]
+    given = np.zeros(shape, dtype=dtype)
+    stored = getattr(record(**{name: given}, **others), name)
+    assert np.shares_memory(stored, given)
+    assert not stored.flags.writeable
+    assert given.flags.writeable
+    given[...] = 0  # still allowed

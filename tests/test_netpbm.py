@@ -108,3 +108,37 @@ def test_writer_rejects_empty_image(tmp_path):
     with pytest.raises(IoFailure):
         netpbm.write_ppm(np.zeros((0, 0, 3), dtype=np.uint8), tmp_path / "e.ppm")
     assert not (tmp_path / "e.pgm").exists()
+
+
+def test_reader_accepts_zero_padded_fields(tmp_path):
+    path = tmp_path / "z.pgm"
+    path.write_bytes(b"P5\n0000000004 3\n255\n" + bytes(range(12)))
+    assert netpbm.read_pgm(path).tolist() == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11]]
+    # only significant digits count towards the field bound
+    path.write_bytes(b"P5\n" + b"0" * 5000 + b"2 1\n" + b"0" * 5000 + b"255\n\x05\x06")
+    assert netpbm.read_pgm(path).tolist() == [[5, 6]]
+
+
+@pytest.mark.parametrize("field", [0, 1, 2])
+def test_reader_rejects_overlong_field(tmp_path, field):
+    # 5,000 digits would overflow int()'s conversion limit
+    fields = [b"1", b"1", b"255"]
+    fields[field] = b"1" * 5000
+    header = b"%s\n%s\n" % (b" ".join(fields[:2]), fields[2])
+    for magic, read in ((b"P5", netpbm.read_pgm), (b"P6", netpbm.read_ppm)):
+        path = tmp_path / "long.pnm"
+        path.write_bytes(magic + b"\n" + header + b"\x00" * 3)
+        with pytest.raises(UnsupportedFormat, match="too long"):
+            read(path)
+
+
+def test_readers_let_a_missing_file_through(tmp_path):
+    for read in (netpbm.read_pgm, netpbm.read_ppm):
+        with pytest.raises(FileNotFoundError):
+            read(tmp_path / "missing.pnm")
+
+
+def test_reader_wraps_other_os_errors(tmp_path):
+    for read in (netpbm.read_pgm, netpbm.read_ppm):
+        with pytest.raises(IoFailure):
+            read(tmp_path)  # a directory

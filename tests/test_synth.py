@@ -144,6 +144,33 @@ class TestSynthDocument:
         with pytest.raises(InvalidSpec):
             small_spec(background_level=300)
 
+    def test_ink_count_fits_8_bit_labels(self):
+        spec = SynthSpec(width=16, height=255, bands=1, ink_count=255, coverage=0.5)
+        assert spec.ink_count == 255
+        with pytest.raises(InvalidSpec, match="255"):
+            SynthSpec(width=16, height=256, bands=1, ink_count=256, coverage=0.5)
+
+    def test_one_band_signatures(self):
+        spec = small_spec(bands=1, ink_count=4, noise_sigma=2.0)
+        master = SplitMix64(spec.seed)
+        sigs = generate_signatures(spec, SplitMix64(master.spawn_seed()))
+        assert sigs.shape == (4, 1)
+        assert sigs.min() >= 60.0 and sigs.max() <= 255.0
+        assert all(abs(float(a - b)) >= spec.separation
+                   for a, b in itertools.combinations(sigs[:, 0], 2))
+        cube, truth = synth_document(small_spec(bands=1, ink_count=4))
+        # noise-free: each ink is one rounded level, at least 2 from the others
+        levels = [set(cube.data[0][truth.labels == ink].tolist()) for ink in range(1, 5)]
+        assert all(len(level) == 1 for level in levels)
+        assert len(set.union(*levels)) == 4
+
+    def test_every_ink_appears_when_a_section_gets_no_budget(self):
+        # 1x6 page, 5 inks, 5 ink pixels: the proportional split leaves the
+        # last one-row section at 0, so the largest budget donates a pixel
+        spec = SynthSpec(width=1, height=6, bands=2, ink_count=5, coverage=0.834, seed=3)
+        _, truth = synth_document(spec)
+        assert sorted(truth.labels[truth.labels > 0].tolist()) == [1, 2, 3, 4, 5]
+
     def test_zero_noise_pipeline_is_exact(self):
         spec = small_spec(noise_sigma=0.0, ink_count=4, bands=12, width=60, height=40)
         cube, truth = synth_document(spec)
