@@ -17,8 +17,10 @@ Two pages are pinned:
 Each is run at `--workers 1` and `--workers 2`, which must give the same
 bytes. The k-means++ initial centroids are pinned on their own, as are
 the `spectra` CSV of the easy page (full and `--otsu --sample 500 --seed 5`),
-the page bytes of the easy page made at sigma 0, and the first eight
-outputs of `u64_block` and `normal_block` for seed 1.
+the page bytes of the easy page made at sigma 0, the easy page's
+`synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
+(output paths replaced by a fixed token), and the first eight outputs of
+`u64_block` and `normal_block` for seed 1.
 """
 
 import contextlib
@@ -73,7 +75,8 @@ def pages(tmp_path_factory):
     return {"easy": root / "easy", "clean": root / "clean", "close": close}
 
 
-# page digest, render sha256, labels sha256, repr(inertia), iterations
+# page digest, render sha256, labels sha256, repr(inertia), iterations,
+# sha256 of the `--json` stdout with the output directory written as OUT
 GOLDEN_SEGMENT = {
     "easy": (
         "b477c74f404e905e6679b6124396ec43b0a7a451e73137f03ea9ae7b46e8d4ec",
@@ -81,6 +84,7 @@ GOLDEN_SEGMENT = {
         "4a824bc060d52165547af26093ba6d3f78b25e9845d78e5a0b8a4fb6117eec70",
         "4583896.143205076",
         2,
+        "9f9a441db3a5f652c98be115754e0bcdaac5aeddbffc7d0d9efab943e25aafae",
     ),
     "close": (
         "236e0a5743a6267431f6fab2a436f9c464c2d08c0ee85b6e09e4343fe3b16329",
@@ -88,6 +92,7 @@ GOLDEN_SEGMENT = {
         "ab9ddcbcac7fb7b0d54ebb9f549de8830c61d8cef0fb1365526d458763f9fd2f",
         "20508020.145333618",
         12,
+        "f841c77d8e61f57cd84ec48052fc1d7ae1dd405286479fb0b24f9f17e43a0a2a",
     ),
 }
 
@@ -121,6 +126,7 @@ def test_segment_outputs_pinned(pages, tmp_path, page, workers):
         _sha(labels.read_bytes()),
         repr(payload["inertia"]),
         payload["iterations"],
+        _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()),
     )
     assert got == GOLDEN_SEGMENT[page]
 
@@ -161,6 +167,29 @@ def test_noise_free_page_pinned(pages):
     assert _page_digest(pages["clean"]) == (
         "5d64888e20ab6a7d52e617aaf1da2ffe363acd4318a3cdabedc9edd2ff0037fd"
     )
+
+
+# sha256 of the easy page's synth_spec.txt, and of its `synth --json`
+# stdout with the output directory written as OUT
+GOLDEN_SYNTH = {
+    "sidecar": "6ca47aa89e96d86a7b1e9c9bf8f5d9b360401e572f2dcc432a9c920610570b01",
+    "json": "a1dd2722dc3f521756e2ada116224f631247ef3cf097f8bac64e1d96be15a112",
+}
+
+
+def test_synth_sidecar_and_json_pinned(pages, tmp_path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["synth", "--out-dir", str(tmp_path / "easy"), "--width", "128",
+                     "--height", "128", "--bands", "33", "--inks", "5",
+                     "--noise-sigma", "8", "--seed", "1", "--json"]) == 0
+    sidecar = (pages["easy"] / "synth_spec.txt").read_bytes()
+    assert (tmp_path / "easy" / "synth_spec.txt").read_bytes() == sidecar
+    got = {
+        "sidecar": _sha(sidecar),
+        "json": _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()),
+    }
+    assert got == GOLDEN_SYNTH
 
 
 def test_stream_blocks_pinned():
