@@ -32,7 +32,6 @@ from .hsi_cube import (
     write_gray_pgm,
 )
 from .segment import (
-    Palette,
     SegmentationMap,
     build_label_map,
     default_palette,

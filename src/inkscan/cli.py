@@ -55,17 +55,20 @@ def _band_list(text):
     if not items:
         raise argparse.ArgumentTypeError("band list is empty")
     try:
-        return [int(part) for part in items]
+        bands = [int(part) for part in items]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad band list {text!r}") from None
+    if min(bands) < 1:
+        raise argparse.ArgumentTypeError(f"band indices start at 1, got {min(bands)}")
+    return bands
 
 
 def _reference_mode(text):
-    if text == "mean" or (text.startswith("band:") and text[5:].isdecimal()):
-        return text
-    raise argparse.ArgumentTypeError(
-        f"reference mode must be 'mean' or 'band:<i>', got {text!r}"
-    )
+    try:
+        hsi_cube.reference_band(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _add_threshold_flags(parser):
@@ -152,7 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _reference(args, config):
+def _foreground(args):
+    """The ink mask and its (normalized) spectra, as `spectra` and `segment` use them."""
+    config = binarize.ThresholdConfig(args.threshold, args.polarity)
     cube = hsi_cube.load_cube(args.input)
     ref = hsi_cube.reference_image(cube, args.reference)
     if args.otsu:
@@ -160,25 +165,23 @@ def _reference(args, config):
             config = dataclasses.replace(config, value=binarize.otsu_threshold(ref))
         except DegenerateHistogram:
             print(f"otsu degenerate; falling back to t={config.value}", file=sys.stderr)
-    return cube, binarize.threshold_binary(ref, config)
+    mask = binarize.threshold_binary(ref, config)
+    return mask, binarize.normalize_spectra(binarize.extract_spectra(cube, mask), args.normalize)
 
 
 def cmd_bands(args) -> int:
     cube = hsi_cube.load_cube(args.input)
+    images = [hsi_cube.band_image(cube, index) for index in args.bands]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index in args.bands:
-        image = hsi_cube.band_image(cube, index)
+    for index, image in zip(args.bands, images):
         hsi_cube.write_gray_pgm(image, out_dir / f"band_{index}.pgm")
     print(f"wrote {len(args.bands)} band images to {out_dir}")
     return 0
 
 
 def cmd_spectra(args) -> int:
-    config = binarize.ThresholdConfig(args.threshold, args.polarity)
-    cube, mask = _reference(args, config)
-    spectra = binarize.extract_spectra(cube, mask)
-    spectra = binarize.normalize_spectra(spectra, args.normalize)
+    _, spectra = _foreground(args)
     rows = segment.export_spectra_csv(spectra, args.out, args.sample, args.seed)
     if args.json:
         print(json.dumps({
@@ -203,10 +206,7 @@ def cmd_segment(args) -> int:
         tolerance=args.tol,
         restarts=args.restarts,
     )
-    config = binarize.ThresholdConfig(args.threshold, args.polarity)
-    cube, mask = _reference(args, config)
-    spectra = binarize.extract_spectra(cube, mask)
-    spectra = binarize.normalize_spectra(spectra, args.normalize)
+    mask, spectra = _foreground(args)
     model = cluster.kmeans_fit(spectra, params, workers=args.workers)
     segmap = segment.build_label_map(mask, model.labels, args.k)
     palette = segment.default_palette(args.k)
@@ -263,18 +263,9 @@ def cmd_synth(args) -> int:
 
     ink_pixels = int((truth.labels > 0).sum())
     realized = ink_pixels / (spec.width * spec.height)
-    sidecar = {
-        "width": spec.width,
-        "height": spec.height,
-        "bands": spec.bands,
-        "ink_count": spec.ink_count,
-        "noise_sigma": spec.noise_sigma,
-        "coverage": spec.coverage,
-        "background_level": spec.background_level,
-        "seed": spec.seed,
-        "ink_pixels": ink_pixels,
-        "realized_coverage": realized,
-    }
+    sidecar = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+               if f.name != "ink_signatures"}
+    sidecar.update(ink_pixels=ink_pixels, realized_coverage=realized)
     (out_dir / "synth_spec.txt").write_text(
         "".join(f"{key}={value}\n" for key, value in sidecar.items()), encoding="utf-8"
     )

@@ -272,15 +272,19 @@ def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
     return x[chosen].copy()
 
 
+def _as_centroids(centroids, x: np.ndarray) -> np.ndarray:
+    """`centroids` as a float64 (k, B) matrix for the B-column samples `x`."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
+        raise DimensionMismatch(f"centroids of shape {centroids.shape} do not fit "
+                                f"{x.shape[1]}-dim samples")
+    return centroids
+
+
 def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.ndarray:
     """Nearest-centroid label per sample; exact ties to the lowest index."""
-    centroids = np.asarray(centroids, dtype=np.float64)
     x = spectra.vectors
-    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
-        raise DimensionMismatch(
-            f"centroids have {centroids.shape[-1] if centroids.ndim else 0} dims, "
-            f"samples have {x.shape[1]}"
-        )
+    centroids = _as_centroids(centroids, x)
     labels = np.empty(x.shape[0], dtype=np.int32)
     with _Kernel(x, centroids.shape[0], workers) as kern:
         _lloyd_pass(kern, centroids, labels)
@@ -289,11 +293,9 @@ def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.
 
 def inertia(centroids: np.ndarray, spectra: SpectrumSet, labels: np.ndarray) -> float:
     """Within-cluster sum of squares, summed in fixed sample order."""
-    centroids = np.asarray(centroids, dtype=np.float64)
     labels = np.asarray(labels)
     x = spectra.vectors
-    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
-        raise DimensionMismatch("centroid and sample dimensionality disagree")
+    centroids = _as_centroids(centroids, x)
     if labels.shape != (x.shape[0],):
         raise DimensionMismatch(f"{labels.shape[0]} labels for {x.shape[0]} samples")
     if labels.size and (labels.min() < 0 or labels.max() >= centroids.shape[0]):

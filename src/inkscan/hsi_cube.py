@@ -181,6 +181,15 @@ def band_image(cube: HyperCube, band_index: int) -> GrayImage:
     return GrayImage(cube.data[band_index - 1])
 
 
+def reference_band(mode: str) -> int:
+    """The 1-based band a reference mode names: i for "band:<i>", 0 for "mean"."""
+    if mode == "mean":
+        return 0
+    if mode.startswith("band:") and mode[5:].isdecimal() and int(mode[5:]) >= 1:
+        return int(mode[5:])
+    raise ValueError(f"bad reference mode {mode!r}; use 'mean' or 'band:<i>' with i >= 1")
+
+
 def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:
     """Collapse the cube to one grayscale image for thresholding.
 
@@ -188,14 +197,13 @@ def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:
     (computed in exact integer arithmetic, so band order cannot matter).
     mode="band:<i>": the single 1-based band i.
     """
-    if mode == "mean":
-        sums = cube.data.sum(axis=0, dtype=np.int64)
-        b = cube.bands
-        mean = (2 * sums + b) // (2 * b)  # round-half-up of sums/b
-        return GrayImage(mean.astype(np.uint8))
-    if mode.startswith("band:") and mode[5:].isdecimal():  # as the CLI checks it
-        return band_image(cube, int(mode[5:]))
-    raise ValueError(f"bad reference mode {mode!r}; use 'mean' or 'band:<i>'")
+    band = reference_band(mode)
+    if band:
+        return band_image(cube, band)
+    sums = cube.data.sum(axis=0, dtype=np.int64)
+    b = cube.bands
+    mean = (2 * sums + b) // (2 * b)  # round-half-up of sums/b
+    return GrayImage(mean.astype(np.uint8))
 
 
 def write_gray_pgm(image: GrayImage, path) -> None:

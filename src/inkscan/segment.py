@@ -15,9 +15,9 @@ from .errors import CountMismatch, IoFailure, PaletteTooSmall, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
-# background first, then clusters in id order; byte-stable across runs
-_BACKGROUND = (0, 0, 0)
-_CLUSTER_COLORS = (
+# row 0 is the background, row c the color of cluster c; byte-stable across runs
+_COLORS = np.array([
+    (0, 0, 0),        # black
     (255, 0, 0),      # red
     (0, 255, 0),      # green
     (0, 0, 255),      # blue
@@ -26,8 +26,9 @@ _CLUSTER_COLORS = (
     (0, 255, 255),    # cyan
     (255, 165, 0),    # orange
     (128, 0, 128),    # purple
-)
-MAX_CLUSTERS = len(_CLUSTER_COLORS)  # clusters the default palette can color
+], dtype=np.uint8)
+_COLORS.flags.writeable = False
+MAX_CLUSTERS = len(_COLORS) - 1  # clusters the default palette can color
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,29 +52,11 @@ class SegmentationMap:
         return self.labels.shape[0]
 
 
-@dataclass(frozen=True)
-class Palette:
-    """Background color plus ordered per-cluster colors, all distinct."""
-
-    background: tuple
-    cluster_colors: tuple
-
-    def __post_init__(self):
-        colors = [tuple(self.background)] + [tuple(c) for c in self.cluster_colors]
-        for color in colors:
-            if len(color) != 3 or any(not 0 <= v <= 255 for v in color):
-                raise ValueError(f"bad RGB triple {color}")
-        if len(set(colors)) != len(colors):
-            raise ValueError("palette colors must be pairwise distinct")
-        object.__setattr__(self, "background", tuple(self.background))
-        object.__setattr__(self, "cluster_colors", tuple(tuple(c) for c in self.cluster_colors))
-
-
-def default_palette(k: int) -> Palette:
-    """The fixed default palette: black background, first k cluster colors."""
+def default_palette(k: int) -> np.ndarray:
+    """The fixed (k + 1, 3) uint8 color table: black background, first k cluster colors."""
     if k > MAX_CLUSTERS:
         raise PaletteTooSmall(f"default palette has {MAX_CLUSTERS} cluster colors, need {k}")
-    return Palette(_BACKGROUND, _CLUSTER_COLORS[:k])
+    return _COLORS[: k + 1]
 
 
 def build_label_map(mask: ForegroundMask, labels: np.ndarray, k: int) -> SegmentationMap:
@@ -95,17 +78,22 @@ def build_label_map(mask: ForegroundMask, labels: np.ndarray, k: int) -> Segment
     return SegmentationMap(out, k)
 
 
-def render_segmentation(segmap: SegmentationMap, palette: Palette) -> np.ndarray:
-    """Color each pixel by its label: (height, width, 3) uint8."""
-    if len(palette.cluster_colors) < segmap.k:
+def render_segmentation(segmap: SegmentationMap, palette: np.ndarray) -> np.ndarray:
+    """Color each pixel by its label: (height, width, 3) uint8.
+
+    `palette` is a (rows, 3) table of 0..255 colors, row 0 the background;
+    its first k + 1 rows must be pairwise distinct.
+    """
+    palette = np.asarray(palette)
+    if palette.ndim != 2 or palette.shape[1] != 3 or not ((palette >= 0) & (palette <= 255)).all():
+        raise ValueError(f"palette must be a (rows, 3) table of 0..255, got {palette.shape}")
+    if len(palette) <= segmap.k:
         raise PaletteTooSmall(
-            f"palette has {len(palette.cluster_colors)} cluster colors, "
-            f"map needs {segmap.k}"
+            f"palette has {len(palette) - 1} cluster colors, map needs {segmap.k}"
         )
-    lut = np.array(
-        [palette.background] + list(palette.cluster_colors[: segmap.k]),
-        dtype=np.uint8,
-    )
+    lut = palette[: segmap.k + 1].astype(np.uint8)
+    if len(np.unique(lut, axis=0)) != len(lut):
+        raise ValueError("palette colors must be pairwise distinct")
     return lut[segmap.labels]
 
 

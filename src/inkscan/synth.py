@@ -109,16 +109,17 @@ _POOL_BATCH = 128
 _POOL_GROWTH_ROUNDS = 6
 
 
-def _select_spread(pool: np.ndarray, k: int) -> list[int]:
-    """Indices of k pool curves spreading out the min pairwise separation.
+def _select_spread(pool: np.ndarray, k: int) -> tuple[list[int], float]:
+    """Indices of k pool curves spreading out the min pairwise separation, and that separation.
 
     Greedy farthest-point on mean-absolute-difference distances, seeded by
     the farthest pair, then hill-climbed with single swaps. Argmax ties
-    resolve to the lowest index, so selection is deterministic.
+    resolve to the lowest index, so selection is deterministic. The
+    separation of a single curve is infinite.
     """
     dist = np.abs(pool[:, None, :] - pool[None, :, :]).mean(axis=2)
     if k == 1:
-        return [0]
+        return [0], np.inf
     i, j = np.unravel_index(int(dist.argmax()), dist.shape)
     chosen = [int(min(i, j)), int(max(i, j))]
     while len(chosen) < k:
@@ -137,7 +138,7 @@ def _select_spread(pool: np.ndarray, k: int) -> list[int]:
             if candidate_sep[best] > current + 1e-12:
                 chosen[slot] = best
                 improved = True
-    return chosen
+    return chosen, min(dist[c, chosen[i + 1:]].min() for i, c in enumerate(chosen[:-1]))
 
 
 def generate_signatures(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
@@ -158,21 +159,12 @@ def generate_signatures(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
         if len(pool) < k:
             continue
         arr = np.asarray(pool)
-        chosen = _select_spread(arr, k)
-        picked = arr[chosen]
-        if k == 1 or _min_pairwise_sep(picked) >= spec.separation:
-            return picked
+        chosen, separation = _select_spread(arr, k)
+        if separation >= spec.separation:
+            return arr[chosen]
     raise InvalidSpec(
         f"could not generate {k} signatures with pairwise mean "
         f"separation >= {spec.separation:.1f} (noise_sigma too large?)"
-    )
-
-
-def _min_pairwise_sep(signatures: np.ndarray) -> float:
-    k = signatures.shape[0]
-    return min(
-        float(np.abs(signatures[i] - signatures[j]).mean())
-        for i in range(k) for j in range(i + 1, k)
     )
 
 

@@ -46,6 +46,23 @@ class TestBands:
     def test_empty_band_list_exits_2(self, synth_dir, capsys):
         assert main(["bands", str(synth_dir / "bands"), "--bands", ","]) == 2
 
+    @pytest.mark.parametrize("bands", ["0", "0,-2", "3,-1"])
+    def test_band_below_1_exits_2_before_loading(self, tmp_path, capsys, bands):
+        out = tmp_path / "views"
+        code = main(["bands", str(tmp_path / "missing"), "--bands", bands,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "band indices start at 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_band_writes_nothing(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "views"
+        code = main(["bands", str(synth_dir / "bands"), "--bands", "2,9",
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "band 9" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["bands", str(tmp_path / "nope"), "--bands", "1"]) == 1
 
@@ -99,6 +116,13 @@ class TestSpectra:
         # "\u00b2" (superscript two) is a digit to str.isdigit() but not to int()
         code = main(["spectra", str(tmp_path / "missing"), "--reference", mode,
                      "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "reference mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectra", "segment"])
+    @pytest.mark.parametrize("mode", ["band:0", "band:00"])
+    def test_reference_band_0_exits_2_before_loading(self, tmp_path, capsys, command, mode):
+        code = main([command, str(tmp_path / "missing"), "--reference", mode])
         assert code == 2
         assert "reference mode" in capsys.readouterr().err
 

@@ -340,6 +340,16 @@ class TestAssignAndInertia:
         with pytest.raises(DimensionMismatch):
             assign(np.zeros((2, 3)), make_spectrum_set([[1.0, 2.0]]))
 
+    @pytest.mark.parametrize("centroids", [np.zeros((2, 3)), np.zeros(2), np.float64(0.0)])
+    def test_assign_and_inertia_share_centroid_check(self, centroids):
+        spectra = make_spectrum_set([[1.0, 2.0]])
+        with pytest.raises(DimensionMismatch) as from_assign:
+            assign(centroids, spectra)
+        with pytest.raises(DimensionMismatch) as from_inertia:
+            inertia(centroids, spectra, np.array([0]))
+        assert str(from_assign.value) == str(from_inertia.value)
+        assert "2-dim samples" in str(from_assign.value)
+
     def test_inertia_zero_when_samples_sit_on_centroids(self):
         centroids = np.array([[1.0, 1.0], [2.0, 2.0]])
         spectra = make_spectrum_set([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])

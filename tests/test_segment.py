@@ -6,7 +6,6 @@ import pytest
 from inkscan.binarize import ForegroundMask, SpectrumSet
 from inkscan.errors import CountMismatch, IoFailure, PaletteTooSmall, TooManyClusters
 from inkscan.segment import (
-    Palette,
     SegmentationMap,
     build_label_map,
     default_palette,
@@ -70,14 +69,9 @@ class TestRender:
 
         perm = np.array([3, 1, 2])  # cluster i -> perm[i-1]
         permuted_labels = np.where(labels > 0, perm[labels - 1], 0)
-        colors = list(palette.cluster_colors)
-        permuted_colors = [None] * 3
-        for i, target in enumerate(perm):
-            permuted_colors[target - 1] = colors[i]
-        other = render_segmentation(
-            SegmentationMap(permuted_labels, 3),
-            Palette(palette.background, tuple(permuted_colors)),
-        )
+        permuted_palette = palette.copy()
+        permuted_palette[perm] = palette[1:]  # cluster i's color moves to row perm[i-1]
+        other = render_segmentation(SegmentationMap(permuted_labels, 3), permuted_palette)
         assert np.array_equal(base, other)
 
     def test_pointwise_change(self):
@@ -91,14 +85,32 @@ class TestRender:
     def test_palette_too_small(self):
         segmap = SegmentationMap(np.array([[3]]), 3)
         with pytest.raises(PaletteTooSmall):
-            render_segmentation(segmap, Palette((0, 0, 0), ((255, 0, 0),)))
+            render_segmentation(segmap, np.array([(0, 0, 0), (255, 0, 0)], dtype=np.uint8))
         with pytest.raises(PaletteTooSmall):
             default_palette(9)
 
     def test_default_palette_distinct(self):
         palette = default_palette(8)
-        colors = [palette.background, *palette.cluster_colors]
-        assert len(set(colors)) == 9
+        assert palette.shape == (9, 3)
+        assert len({tuple(color) for color in palette.tolist()}) == 9
+
+    @pytest.mark.parametrize("palette, message", [
+        ([(0, 0, 0, 0), (255, 0, 0, 0)], "table"),  # four channels
+        ([0, 255], "table"),
+        ([(0, 0, 0), (256, 0, 0)], "table"),
+        ([(0, 0, 0), (-1, 0, 0)], "table"),
+        ([(0, 0, 0), (float("nan"), 0, 0)], "table"),
+        ([(0, 0, 0), (0, 0, 0)], "distinct"),
+    ])
+    def test_palette_table_checks(self, palette, message):
+        segmap = SegmentationMap(np.array([[1]]), 1)
+        with pytest.raises(ValueError, match=message):
+            render_segmentation(segmap, palette)
+
+    def test_only_rows_in_use_must_be_distinct(self):
+        palette = np.array([(0, 0, 0), (255, 0, 0), (255, 0, 0)], dtype=np.uint8)
+        render = render_segmentation(SegmentationMap(np.array([[0, 1]]), 1), palette)
+        assert render.tolist() == [[[0, 0, 0], [255, 0, 0]]]
 
 
 class TestLabelPgm:
