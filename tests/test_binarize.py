@@ -185,6 +185,15 @@ class TestNormalize:
         norms = np.linalg.norm(unit.vectors, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-12)
 
+    @pytest.mark.parametrize("bands", [1, 2, 3, 8, 9, 33, 129])
+    def test_unit_length_bits_follow_row_major_norms(self, rng, bands):
+        # The einsum row norm rounds differently on band-major memory; real-valued
+        # rows (unlike 8-bit ones, whose squares add exactly) show the difference.
+        v = rng.random((300, bands)) * 100.0 + 0.01
+        expected = v / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+        unit = normalize_spectra(make_spectrum_set(np.asfortranarray(v)), "unit-length")
+        assert unit.vectors.tobytes() == expected.tobytes()
+
     def test_zero_row_rejected(self):
         spectra = make_spectrum_set([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ZeroSpectrum) as exc:

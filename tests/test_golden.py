@@ -16,11 +16,14 @@ Two pages are pinned:
 
 Each is run at `--workers 1` and `--workers 2`, which must give the same
 bytes. The k-means++ initial centroids are pinned on their own, as are
-the `spectra` CSV of the easy page (full and `--otsu --sample 500 --seed 5`),
+the `spectra` CSV of the easy page (full, `--otsu --sample 500 --seed 5` and
+`--normalize unit-length`), the `segment --normalize unit-length` outputs of
+the easy page,
 the page bytes of the easy page made at sigma 0, the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
-(output paths replaced by a fixed token), and the first eight outputs of
-`u64_block` and `normal_block` for seed 1.
+(output paths replaced by a fixed token), the first eight outputs of
+`u64_block` and `normal_block` for seed 1, and the Box-Muller uniforms
+behind the latter.
 """
 
 import contextlib
@@ -146,21 +149,47 @@ def test_kmeanspp_init_pinned(pages, page):
 GOLDEN_SPECTRA = {
     "full": "db03f5fc1149897d4ac0c8abc1e4ef9b47eb40a8879495b9b022229598b1587a",
     "sample": "915b7ab30afd8afc698167062cf1c87215bccd78810479a368493df83401edd1",
+    "unit-length": "4d4a4af5c5a69a4c6c8a6d1b6f6bbca8f92223196f129372b72d947742c9ba6c",
 }
 
 SPECTRA_FLAGS = {
     "full": [],
     "sample": ["--otsu", "--sample", "500", "--seed", "5"],
+    "unit-length": ["--normalize", "unit-length"],
 }
 
 
-@pytest.mark.parametrize("export", ["full", "sample"])
+@pytest.mark.parametrize("export", ["full", "sample", "unit-length"])
 def test_spectra_csv_pinned(pages, tmp_path, export):
     csv = tmp_path / "s.csv"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["spectra", str(pages["easy"] / "bands"), *SPECTRA_FLAGS[export],
                      "--out", str(csv)]) == 0
     assert _sha(csv.read_bytes()) == GOLDEN_SPECTRA[export]
+
+
+# render sha256, labels sha256 and repr(inertia) of the easy page segmented
+# with `--normalize unit-length`
+GOLDEN_UNIT_LENGTH_SEGMENT = (
+    "df3c5feb1d69de146a88ee3c76d3918935b4da944484346ed52463510cd34095",
+    "bb3652001d461121e3ad195f9c9145076ab0677da2da84dbdeea93efe3b79652",
+    "35.740510537770795",
+)
+
+
+def test_unit_length_segment_pinned(pages, tmp_path):
+    render, labels = tmp_path / "r.ppm", tmp_path / "l.pgm"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["segment", str(pages["easy"] / "bands"), "--k", "5", "--seed", "0",
+                     "--normalize", "unit-length", "--json",
+                     "--out-render", str(render), "--out-labels", str(labels)]) == 0
+    got = (
+        _sha(render.read_bytes()),
+        _sha(labels.read_bytes()),
+        repr(json.loads(out.getvalue())["inertia"]),
+    )
+    assert got == GOLDEN_UNIT_LENGTH_SEGMENT
 
 
 def test_noise_free_page_pinned(pages):
@@ -193,6 +222,13 @@ def test_synth_sidecar_and_json_pinned(pages, tmp_path):
 
 
 def test_stream_blocks_pinned():
+    """The u64 pin is exact integer arithmetic and holds on any host.
+
+    The normal_block pin is specific to the AVX-512 host it was taken on:
+    NumPy's np.log dispatches on the CPU's SIMD support and may round
+    differently elsewhere. `test_box_muller_uniforms_pinned` pins its
+    inputs exactly, which tells a host difference from a code change.
+    """
     assert u64_block(1, 0, 8).astype("<u8").tobytes().hex() == (
         "c15c0289ec2d0a9167ec8e65a18debbe5e5532fbeea293f80bc942ee9086c171"
         "b9b501d1d854bb7180021590ff0b4dc3a53c36d76cec99e0758527120fbbe785"
@@ -201,3 +237,23 @@ def test_stream_blocks_pinned():
         "b2eca97dc030cebf3e9f1cab01c2ca3f59d79a318e96c9bff57c8f95c011f0bf"
         "25326b8fe891f3bfca837b12a21fe7bf7aefb1d13b20debfe8053a656d24e23f"
     )
+
+
+def test_box_muller_uniforms_pinned():
+    # normal_block(1, 0, 8) maps u64_block(1, 0, 16) to u1 in (0, 1] and u2 in
+    # [0, 1) by a shift, an int-to-double conversion and a power-of-two scale:
+    # exact on any host
+    u = u64_block(1, 0, 16) >> np.uint64(11)
+    u1 = (u[:8].astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = u[8:].astype(np.float64) * 2.0 ** -53
+    assert u1.astype("<f8").tobytes().hex() == (
+        "4c2091bd4521e23fdeb12cb471dde73f4b66df5d7412ef3fb4903ba46170dc3f"
+        "6e403436d56edc3fa102f27fa169e83fc8e69a8d3d13ec3ff144e261f7bce03f"
+    )
+    assert u2.astype("<f8").tobytes().hex() == (
+        "8e5f8d37c645d23f2c8cce916b68e93f9255c01d77ddd93ff199a2899a5fe33f"
+        "96ea92e2b31ddd3ff41ad23a68f6e03f14d39b6bdbe6db3fa4bcd20b6761c53f"
+    )
+    # these are the uniforms normal_block consumes
+    box_muller = np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * np.pi) * u2)
+    assert box_muller.tobytes() == normal_block(1, 0, 8).tobytes()
