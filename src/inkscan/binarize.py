@@ -65,6 +65,8 @@ class ForegroundMask:
 class SpectrumSet:
     """Foreground pixel spectra: (N, B) float64 rows plus (N, 2) x,y coords.
 
+    Stored band-major like the cube: `vectors` is an F-contiguous (N, B)
+    array, so `vectors.T` is the C-contiguous (B, N) array clustering reads.
     Rows are in row-major scan order of the source mask (y, then x), which
     makes every downstream output deterministic.
     """
@@ -73,7 +75,7 @@ class SpectrumSet:
     coords: np.ndarray
 
     def __post_init__(self):
-        vectors = freeze_array(self, "vectors", np.float64, 2)
+        vectors = freeze_array(self, "vectors", np.float64, 2, order="F")
         coords = freeze_array(self, "coords", np.int32, 2)
         if coords.shape[1] != 2:
             raise ValueError("SpectrumSet needs (N, B) vectors and (N, 2) coords")
@@ -146,12 +148,12 @@ def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
         raise DimensionMismatch(
             f"mask is {mask.width}x{mask.height}, cube is {cube.width}x{cube.height}"
         )
-    ys, xs = np.nonzero(mask.flags)  # row-major: y ascending, then x
-    if ys.size == 0:
+    pixels = np.flatnonzero(mask.flags)  # row-major: y ascending, then x
+    if pixels.size == 0:
         raise EmptyForeground("mask has no foreground pixels")
-    vectors = cube.data[:, ys, xs].T.astype(np.float64)
-    coords = np.column_stack([xs, ys]).astype(np.int32)
-    return SpectrumSet(vectors, coords)
+    band_rows = np.take(cube.data.reshape(cube.bands, -1), pixels, axis=1).astype(np.float64)
+    ys, xs = np.divmod(pixels, mask.width)
+    return SpectrumSet(band_rows.T, np.column_stack([xs, ys]))
 
 
 def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:
@@ -160,7 +162,8 @@ def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:
         return spectra
     if mode != "unit-length":
         raise ValueError(f"unknown normalization {mode!r}; use 'none' or 'unit-length'")
-    norms = np.sqrt(np.einsum("ij,ij->i", spectra.vectors, spectra.vectors))
+    rows = np.ascontiguousarray(spectra.vectors)  # einsum rounds by memory layout
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroSpectrum(int(zero[0]))

@@ -12,15 +12,15 @@ Everything here is reproducible bit-for-bit from the seed:
 
 Distances are squared Euclidean on raw 64-bit floats, sum((x - c)^2)
 rather than the dot-product expansion, with the exact bits of NumPy's
-row sum ((x - c) * (x - c)).sum(axis=-1). They are computed band-major:
-a chunk is transposed into a (B, k, CHUNK_SIZE) scratch array, the k
-differences are squared in place, and the B band planes are added in
-the order of NumPy's pairwise row sum (see `_fold_bands`), so each add
-covers k * CHUNK_SIZE distances. Every worker thread allocates its
-scratch once, B * k * CHUNK_SIZE * 8 bytes (5.4 MB at B = 33, k = 5).
-A fit creates one thread pool for all its restarts; each Lloyd
-iteration is one pass over the chunks that assigns labels and returns
-the chunk's per-cluster sums and counts, added in chunk order.
+row sum ((x - c) * (x - c)).sum(axis=-1). They are computed band-major,
+as `SpectrumSet` stores the samples: a chunk's B band rows minus the k
+centroids fill a (B, k, CHUNK_SIZE) scratch array, squared in place, and
+the B band planes are added in NumPy's pairwise row-sum order (see
+`_fold_bands`), so each add covers k * CHUNK_SIZE distances. Each worker
+thread allocates its scratch once, B * k * CHUNK_SIZE * 8 bytes (5.4 MB
+at B = 33, k = 5). A fit creates one thread pool for all its restarts;
+each Lloyd iteration is one pass over the chunks that assigns labels
+and returns the chunk's per-cluster sums and counts, added in chunk order.
 """
 
 import threading
@@ -89,8 +89,9 @@ def _chunks(n: int):
 
 
 class _Kernel:
-    """The samples of one call in fixed chunks, with at most one thread pool.
+    """The (N, B) samples of one call in fixed chunks, with at most one thread pool.
 
+    It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
     `sq_dists` fills a (B, rows, CHUNK_SIZE) scratch array that each
     thread allocates once and reuses for every chunk it handles.
     """
@@ -129,10 +130,7 @@ class _Kernel:
         if scratch is None:
             scratch = self._local.scratch = np.empty(self._scratch_shape)
         t = scratch[:, : centroids.shape[0], : e - s]
-        ct = centroids.T[:, :, None]
-        np.copyto(t[:, 0], self.x[s:e].T)  # transpose once, then subtract in place
-        np.subtract(t[:, :1], ct[:, 1:], out=t[:, 1:])
-        t[:, 0] -= ct[:, 0]
+        np.subtract(self.x.T[:, None, s:e], centroids.T[:, :, None], out=t)
         np.multiply(t, t, out=t)
         _fold_bands(t, 0, t.shape[0])
         return t[0]
@@ -193,37 +191,35 @@ def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
 def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
     """Assign every sample (into `labels`); return per-cluster sums and counts.
 
-    Within a chunk, bincount adds each (cluster, band) bin in sample
-    order, as NumPy sums a cluster's member rows when B > 1; chunk
-    partials are added in chunk order, so the totals do not depend on the
-    thread count.
+    Within a chunk, one bincount per band row adds each cluster's members
+    in sample order, as NumPy sums a cluster's member rows when B > 1;
+    chunk partials are added in chunk order, so the totals do not depend
+    on the thread count.
     """
     k, bands = centroids.shape
-    band_index = np.arange(bands)
 
     def run(s, e):
         lab = _nearest(kern.sq_dists(s, e, centroids))
         labels[s:e] = lab
+        rows = kern.x.T[:, s:e]
         if bands == 1:  # NumPy sums a one-column member block pairwise
-            column = kern.x[s:e, 0]
-            sums = np.array([column[lab == c].sum() for c in range(k)])
+            sums = np.array([[rows[0, lab == c].sum() for c in range(k)]])
         else:
-            bins = (lab[:, None] * bands + band_index).ravel()
-            sums = np.bincount(bins, weights=kern.x[s:e].ravel(), minlength=k * bands)
+            sums = np.array([np.bincount(lab, weights=row, minlength=k) for row in rows])
         return sums, np.bincount(lab, minlength=k)
 
-    sums = np.zeros(k * bands)
+    sums = np.zeros((bands, k))
     counts = np.zeros(k, dtype=np.int64)
     for chunk_sums, chunk_counts in kern.map(run):
         sums += chunk_sums
         counts += chunk_counts
-    return sums.reshape(k, bands), counts
+    return sums.T, counts
 
 
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     total = 0.0
     for s, e in _chunks(x.shape[0]):
-        diff = x[s:e] - centroids[labels[s:e]]
+        diff = np.subtract(x[s:e], centroids[labels[s:e]], order="C")  # summed row-major
         total += float((diff * diff).sum())
     return total
 
@@ -237,8 +233,7 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
     point duplicates a chosen centroid (zero total mass), the next index
     is drawn uniformly from the unchosen ones.
     """
-    x = np.asarray(spectra.vectors, dtype=np.float64)
-    with _Kernel(x, 1) as kern:
+    with _Kernel(spectra.vectors, 1) as kern:
         return _init_centroids(kern, params.k, params.init, params.seed)
 
 
@@ -275,7 +270,7 @@ def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
 def _as_centroids(centroids, x: np.ndarray) -> np.ndarray:
     """`centroids` as a float64 (k, B) matrix for the B-column samples `x`."""
     centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 2 or centroids.shape[1] != x.shape[1]:
+    if centroids.ndim != 2 or not len(centroids) or centroids.shape[1] != x.shape[1]:
         raise DimensionMismatch(f"centroids of shape {centroids.shape} do not fit "
                                 f"{x.shape[1]}-dim samples")
     return centroids

@@ -22,20 +22,20 @@ from .errors import (
 )
 
 
-def freeze_array(record, name: str, dtype, ndim: int) -> np.ndarray:
-    """Store field `name` of a frozen record as a read-only C-contiguous array.
+def freeze_array(record, name: str, dtype, ndim: int, order: str = "C") -> np.ndarray:
+    """Store field `name` of a frozen record as a read-only contiguous array.
 
-    The value is converted to `dtype`; a result that is not `ndim`-d
-    raises ValueError. The record keeps a read-only view, so a caller's
-    array is never frozen (nor copied, if no conversion is needed).
-    Returns the stored array.
+    The value is converted to `dtype` and laid out in `order` ("C" or
+    "F"); a result that is not `ndim`-d raises ValueError. The record
+    keeps a read-only view, so a caller's array is never frozen (nor
+    copied, if no conversion is needed). Returns the stored array.
     """
-    arr = np.asarray(getattr(record, name), dtype=dtype)
+    arr = np.asarray(getattr(record, name), dtype=dtype, order=order)
     if arr.ndim != ndim:
         raise ValueError(
             f"{type(record).__name__}.{name} needs a {ndim}-d array, got shape {arr.shape}"
         )
-    arr = np.ascontiguousarray(arr).view()
+    arr = arr.view()
     arr.setflags(write=False)
     object.__setattr__(record, name, arr)
     return arr

@@ -158,6 +158,13 @@ class TestExtractSpectra:
         for row, (x, y) in zip(spectra.vectors, spectra.coords):
             assert row.tobytes() == cube.pixel_spectrum(int(x), int(y)).tobytes()
 
+    def test_samples_stored_band_major(self, rng):
+        cube = HyperCube(rng.integers(1, 256, size=(7, 6, 5)).astype(np.uint8))
+        spectra = extract_spectra(cube, ForegroundMask(rng.random((6, 5)) < 0.5))
+        for stored in (spectra, normalize_spectra(spectra, "unit-length")):
+            assert stored.vectors.T.flags.c_contiguous
+            assert stored.vectors.shape == (spectra.count, 7)
+
     def test_empty_mask_raises(self):
         cube = HyperCube(np.zeros((2, 3, 3), dtype=np.uint8))
         with pytest.raises(EmptyForeground):

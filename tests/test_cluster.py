@@ -350,6 +350,14 @@ class TestAssignAndInertia:
         assert str(from_assign.value) == str(from_inertia.value)
         assert "2-dim samples" in str(from_assign.value)
 
+    def test_empty_centroid_matrix_rejected(self):
+        for points, labels in (([[1.0, 2.0]], [0]), (np.zeros((0, 2)), [])):
+            spectra = make_spectrum_set(points)
+            with pytest.raises(DimensionMismatch, match=r"\(0, 2\)"):
+                assign(np.zeros((0, 2)), spectra)
+            with pytest.raises(DimensionMismatch, match=r"\(0, 2\)"):
+                inertia(np.zeros((0, 2)), spectra, np.array(labels, dtype=np.int32))
+
     def test_inertia_zero_when_samples_sit_on_centroids(self):
         centroids = np.array([[1.0, 1.0], [2.0, 2.0]])
         spectra = make_spectrum_set([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])

@@ -258,20 +258,21 @@ def test_binary_file_as_manifest_is_unsupported(tmp_path):
         load_cube(path)
 
 
-# record, array field, stored dtype, a valid shape, the other fields
+# record, array field, stored dtype, stored order, a valid shape, the other fields
 FROZEN_FIELDS = {
-    "GrayImage.pixels": (GrayImage, "pixels", np.uint8, (4, 6), {}),
-    "HyperCube.data": (HyperCube, "data", np.uint8, (3, 4, 6), {}),
-    "ForegroundMask.flags": (ForegroundMask, "flags", np.bool_, (4, 6), {}),
-    "SpectrumSet.vectors": (SpectrumSet, "vectors", np.float64, (6, 4),
+    "GrayImage.pixels": (GrayImage, "pixels", np.uint8, "C", (4, 6), {}),
+    "HyperCube.data": (HyperCube, "data", np.uint8, "C", (3, 4, 6), {}),
+    "ForegroundMask.flags": (ForegroundMask, "flags", np.bool_, "C", (4, 6), {}),
+    # band-major samples: vectors.T is a C-contiguous (B, N) array
+    "SpectrumSet.vectors": (SpectrumSet, "vectors", np.float64, "F", (6, 4),
                             {"coords": np.zeros((6, 2))}),
-    "SpectrumSet.coords": (SpectrumSet, "coords", np.int32, (6, 2),
+    "SpectrumSet.coords": (SpectrumSet, "coords", np.int32, "C", (6, 2),
                            {"vectors": np.zeros((6, 4))}),
-    "SegmentationMap.labels": (SegmentationMap, "labels", np.int32, (4, 6), {"k": 1}),
-    "ClusterModel.centroids": (ClusterModel, "centroids", np.float64, (2, 3),
+    "SegmentationMap.labels": (SegmentationMap, "labels", np.int32, "C", (4, 6), {"k": 1}),
+    "ClusterModel.centroids": (ClusterModel, "centroids", np.float64, "C", (2, 3),
                                {"labels": np.zeros(6, dtype=np.int32), "inertia": 0.0,
                                 "iterations": 1, "converged": True}),
-    "ClusterModel.labels": (ClusterModel, "labels", np.int32, (6,),
+    "ClusterModel.labels": (ClusterModel, "labels", np.int32, "C", (6,),
                             {"centroids": np.zeros((2, 3)), "inertia": 0.0,
                              "iterations": 1, "converged": True}),
 }
@@ -279,7 +280,7 @@ FROZEN_FIELDS = {
 
 @pytest.mark.parametrize("field", FROZEN_FIELDS)
 def test_record_rejects_wrong_ndim(field):
-    record, name, _, shape, others = FROZEN_FIELDS[field]
+    record, name, _, _, shape, others = FROZEN_FIELDS[field]
     for bad in (np.zeros(shape + (1,)), np.zeros(())):  # a 0-d value too
         with pytest.raises(ValueError, match=f"{record.__name__}.{name}"):
             record(**{name: bad}, **others)
@@ -288,17 +289,17 @@ def test_record_rejects_wrong_ndim(field):
 @pytest.mark.parametrize("layout", ["strided", "transposed"])
 @pytest.mark.parametrize("field", FROZEN_FIELDS)
 def test_record_stores_read_only_c_array(field, layout):
-    record, name, dtype, shape, others = FROZEN_FIELDS[field]
+    record, name, dtype, order, shape, others = FROZEN_FIELDS[field]
     expected = (np.arange(math.prod(shape)) % 2).reshape(shape)  # int64
     if layout == "strided":
         given = np.repeat(expected, 2, axis=-1)[..., ::2]
-    elif expected.ndim > 1:
-        given = expected.T.copy().T
+    elif expected.ndim > 1:  # laid out in the other order
+        given = np.asarray(expected, order="F" if order == "C" else "C")
     else:  # a 1-d field is stored reversed instead
         given = expected[::-1].copy()[::-1]
-    assert not given.flags.c_contiguous
+    assert not given.flags[f"{order}_CONTIGUOUS"]
     stored = getattr(record(**{name: given}, **others), name)
-    assert stored.flags.c_contiguous
+    assert stored.flags[f"{order}_CONTIGUOUS"]
     assert not stored.flags.writeable
     assert stored.dtype == dtype
     assert np.array_equal(stored, expected)
@@ -307,8 +308,8 @@ def test_record_stores_read_only_c_array(field, layout):
 @pytest.mark.parametrize("field", FROZEN_FIELDS)
 def test_record_leaves_caller_array_writeable(field):
     # an array that needs no conversion is shared, not copied or frozen
-    record, name, dtype, shape, others = FROZEN_FIELDS[field]
-    given = np.zeros(shape, dtype=dtype)
+    record, name, dtype, order, shape, others = FROZEN_FIELDS[field]
+    given = np.zeros(shape, dtype=dtype, order=order)
     stored = getattr(record(**{name: given}, **others), name)
     assert np.shares_memory(stored, given)
     assert not stored.flags.writeable
