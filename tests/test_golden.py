@@ -16,8 +16,10 @@ Two pages are pinned:
 
 Each is run at `--workers 1` and `--workers 2`, which must give the same
 bytes. The k-means++ initial centroids are pinned on their own, as are
-the `spectra` CSV of the easy page (full, `--otsu --sample 500 --seed 5` and
-`--normalize unit-length`), the `segment --normalize unit-length` outputs of
+the `spectra` CSV of the easy page (full, `--otsu --sample 500 --seed 5`,
+`--normalize unit-length`, and the header line alone that `--sample 0`
+writes), the full `spectra` CSV of the close page (about 9,800 rows, which
+span three 4096-row blocks), the `segment --normalize unit-length` outputs of
 the easy page,
 the page bytes of the easy page made at sigma 0, the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
@@ -145,26 +147,31 @@ def test_kmeanspp_init_pinned(pages, page):
     assert _sha(blob) == GOLDEN_INIT[page]
 
 
-# sha256 of the `spectra` CSV of the easy page
+# sha256 of the `spectra` CSV; every export but "close" is of the easy page
 GOLDEN_SPECTRA = {
     "full": "db03f5fc1149897d4ac0c8abc1e4ef9b47eb40a8879495b9b022229598b1587a",
     "sample": "915b7ab30afd8afc698167062cf1c87215bccd78810479a368493df83401edd1",
     "unit-length": "4d4a4af5c5a69a4c6c8a6d1b6f6bbca8f92223196f129372b72d947742c9ba6c",
+    "close": "de7ef367cfaee1387cc63b4a3bf03fd8e4abeb949186f3c8358b5d64faef0430",
+    "header-only": "ddc946e802240f97f63f24f38498ef676bceb78432c50b1ca61bf4493b102fff",
 }
 
-SPECTRA_FLAGS = {
-    "full": [],
-    "sample": ["--otsu", "--sample", "500", "--seed", "5"],
-    "unit-length": ["--normalize", "unit-length"],
+# page and flags of each pinned export
+SPECTRA_RUNS = {
+    "full": ("easy", []),
+    "sample": ("easy", ["--otsu", "--sample", "500", "--seed", "5"]),
+    "unit-length": ("easy", ["--normalize", "unit-length"]),
+    "close": ("close", []),
+    "header-only": ("easy", ["--sample", "0"]),
 }
 
 
-@pytest.mark.parametrize("export", ["full", "sample", "unit-length"])
+@pytest.mark.parametrize("export", list(SPECTRA_RUNS))
 def test_spectra_csv_pinned(pages, tmp_path, export):
+    page, flags = SPECTRA_RUNS[export]
     csv = tmp_path / "s.csv"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["spectra", str(pages["easy"] / "bands"), *SPECTRA_FLAGS[export],
-                     "--out", str(csv)]) == 0
+        assert main(["spectra", str(pages[page] / "bands"), *flags, "--out", str(csv)]) == 0
     assert _sha(csv.read_bytes()) == GOLDEN_SPECTRA[export]
 
 
