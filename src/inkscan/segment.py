@@ -115,6 +115,36 @@ def read_label_pgm(path) -> SegmentationMap:
     return SegmentationMap(labels, int(labels.max(initial=0)))
 
 
+def _byte_rows(coords: np.ndarray, vectors: np.ndarray) -> bytes | None:
+    """The `x,y,b1,...,bB` rows of 8-bit spectra, or None for any other values.
+
+    Every value must be an integer in 0..255 with a clear sign bit (repr
+    prints -0.0 as '-0.0'), as extract_spectra gives for an 8-bit cube.
+    Each possible token is then formatted once, with its separator; the
+    rows are gathered from a NUL-padded table of them and the padding
+    deleted, which gives the bytes of the per-value repr rows.
+    """
+    n, bands = vectors.shape
+    # compare before casting: NaN, inf and out-of-range floats fail here
+    if bands == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
+        return None
+    levels = vectors.astype(np.uint8)
+    if not (levels == vectors).all() or np.signbit(vectors).any():
+        return None
+    xy, xy_token = np.unique(coords, return_inverse=True)
+    # token i is value i with a comma, 256 + i ends a row, 512 + j is coordinate xy[j]
+    tokens = ([f"{float(i)!r}," for i in range(256)] + [f"{float(i)!r}\n" for i in range(256)]
+              + [f"{c}," for c in xy.tolist()])
+    # a multiple of 8 bytes per token: 6-byte items gather about 2.5x slower
+    width = -(-max(map(len, tokens)) // 8) * 8
+    table = np.array([t.encode() for t in tokens], dtype=f"S{width}")
+    index = np.empty((n, bands + 2), dtype=np.intp)
+    index[:, :2] = xy_token.reshape(n, 2) + 512
+    index[:, 2:] = levels
+    index[:, -1] += 256
+    return table[index].tobytes().translate(None, b"\0")
+
+
 def export_spectra_csv(
     spectra: SpectrumSet,
     path,
@@ -135,15 +165,14 @@ def export_spectra_csv(
     else:
         rows = sorted(SplitMix64(seed).sample_indices(n, sample_limit))
 
-    # select the rows before tolist(): converting all N rows costs more
-    # than it saves when only a sample is written
-    coords = spectra.coords[rows].tolist()
-    header = ["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)]
-    lines = [",".join(header)]
-    lines += [f"{x},{y},{','.join(map(repr, values))}"
-              for (x, y), values in zip(coords, spectra.vectors[rows].tolist())]
+    coords, vectors = spectra.coords[rows], spectra.vectors[rows]
+    header = ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)])
+    body = _byte_rows(coords, vectors)
+    if body is None:
+        body = "".join(f"{x},{y},{','.join(map(repr, values))}\n"
+                       for (x, y), values in zip(coords.tolist(), vectors.tolist())).encode()
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_bytes(header.encode() + b"\n" + body)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return len(coords)

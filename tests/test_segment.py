@@ -15,6 +15,7 @@ from inkscan.segment import (
     write_label_pgm,
     write_rgb_ppm,
 )
+from inkscan.rng import SplitMix64
 from conftest import make_spectrum_set
 
 
@@ -140,6 +141,21 @@ class TestPpm:
             write_rgb_ppm(np.zeros((0, 0, 3), dtype=np.uint8), tmp_path / "z.ppm")
 
 
+def oracle_csv(spectra: SpectrumSet, rows=slice(None)) -> bytes:
+    """The CSV by its definition: per-value repr rows, then a newline."""
+    header = ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)])
+    lines = [header] + [f"{x},{y},{','.join(map(repr, values))}"
+                        for (x, y), values in zip(spectra.coords[rows].tolist(),
+                                                  spectra.vectors[rows].tolist())]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def level_spectra(rng, n, bands, coord_high=600) -> SpectrumSet:
+    """Integer-valued 0..255 rows, as extracted from an 8-bit cube."""
+    return SpectrumSet(rng.integers(0, 256, size=(n, bands)).astype(float),
+                       rng.integers(0, coord_high, size=(n, 2)))
+
+
 class TestCsv:
     def test_shape_and_header(self, tmp_path, rng):
         spectra = SpectrumSet(
@@ -183,3 +199,47 @@ class TestCsv:
     def test_negative_limit_rejected(self, rng, tmp_path):
         with pytest.raises(ValueError):
             export_spectra_csv(make_spectrum_set(rng.random((3, 2))), tmp_path / "x.csv", -1)
+
+    @pytest.mark.parametrize("bands", [0, 1, 2, 33])
+    @pytest.mark.parametrize("n", [0, 1, 4097])
+    def test_levels_match_oracle(self, tmp_path, rng, bands, n):
+        spectra = level_spectra(rng, n or 5, bands)
+        limit = 0 if n == 0 else None  # n = 0: the header line alone
+        path = tmp_path / "s.csv"
+        assert export_spectra_csv(spectra, path, sample_limit=limit) == n
+        expected = oracle_csv(spectra, slice(0, 0) if n == 0 else slice(None))
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("value", [-0.0, 0.5, 255.0000001, 256.0, -3.0, 2.0 ** 53,
+                                       1e16, float("nan"), float("inf"), float("-inf")])
+    def test_values_beyond_levels_match_oracle(self, tmp_path, rng, value):
+        spectra = level_spectra(rng, 6, 33)
+        vectors = spectra.vectors.copy()
+        vectors[3, 7] = value
+        spectra = SpectrumSet(vectors, spectra.coords)
+        path = tmp_path / "s.csv"
+        export_spectra_csv(spectra, path)
+        assert path.read_bytes() == oracle_csv(spectra)
+        assert f",{value!r}," in path.read_text()
+
+    @pytest.mark.parametrize("coord", [-1, -70000, 256, 70000, 2 ** 31 - 1, -(2 ** 31)])
+    def test_any_coordinate_matches_oracle(self, tmp_path, rng, coord):
+        spectra = level_spectra(rng, 20, 3)
+        coords = spectra.coords.copy()
+        coords[4] = (coord, 7)
+        coords[9] = (3, coord)
+        spectra = SpectrumSet(spectra.vectors, coords)
+        path = tmp_path / "s.csv"
+        export_spectra_csv(spectra, path)
+        assert path.read_bytes() == oracle_csv(spectra)
+
+    def test_sampled_levels_match_oracle(self, tmp_path, rng):
+        spectra = level_spectra(rng, 4097, 33)
+        path = tmp_path / "s.csv"
+        assert export_spectra_csv(spectra, path, sample_limit=1000, seed=3) == 1000
+        rows = sorted(SplitMix64(3).sample_indices(4097, 1000))
+        assert path.read_bytes() == oracle_csv(spectra, rows)
+
+    def test_unwritable_path_is_io_failure(self, tmp_path, rng):
+        with pytest.raises(IoFailure):
+            export_spectra_csv(level_spectra(rng, 3, 2), tmp_path / "missing" / "s.csv")
