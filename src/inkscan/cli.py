@@ -170,8 +170,7 @@ def _foreground(args):
 
 
 def cmd_bands(args) -> int:
-    cube = hsi_cube.load_cube(args.input)
-    images = [hsi_cube.band_image(cube, index) for index in args.bands]
+    images = hsi_cube.load_bands(args.input, args.bands)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for index, image in zip(args.bands, images):

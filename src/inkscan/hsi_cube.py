@@ -139,19 +139,23 @@ def _band_paths(source: Path) -> list[tuple[int, Path]]:
     return [(i, source.parent / rel) for i, rel in read_manifest(source)]
 
 
-def load_cube(source) -> HyperCube:
-    """Load a cube from a directory of band PGMs or from a manifest file.
+def _check_band(band_index: int, bands: int) -> None:
+    if not 1 <= band_index <= bands:
+        raise BandOutOfRange(f"band {band_index} not in 1..{bands}")
 
-    Directory mode orders *.pgm files by natural numeric filename order;
-    manifest mode uses the declared 1..B indices. Intensities are
-    preserved exactly.
-    """
+
+def _read_planes(source, indices=None) -> list[np.ndarray]:
+    """Read the 1-based bands `indices` (all if None), checked to share one shape."""
     source = Path(source)
     if not source.exists():
         raise MissingBandFile(f"cube source {source} does not exist")
     paths = _band_paths(source)
     if not paths:
         raise EmptyCube(f"{source} holds no band files")
+    if indices is not None:
+        for band_index in indices:
+            _check_band(band_index, len(paths))
+        paths = [paths[i - 1] for i in indices]
 
     planes = []
     expected = None
@@ -171,13 +175,32 @@ def load_cube(source) -> HyperCube:
                 found=(plane.shape[1], plane.shape[0]),
             )
         planes.append(plane)
-    return HyperCube(np.stack(planes, axis=0))
+    return planes
+
+
+def load_cube(source) -> HyperCube:
+    """Load a cube from a directory of band PGMs or from a manifest file.
+
+    Directory mode orders *.pgm files by natural numeric filename order;
+    manifest mode uses the declared 1..B indices. Intensities are
+    preserved exactly.
+    """
+    return HyperCube(np.stack(_read_planes(source), axis=0))
+
+
+def load_bands(source, indices) -> list[GrayImage]:
+    """The 1-based bands `indices` of a cube source, reading no other band file.
+
+    B, the number of bands, comes from the directory listing or manifest
+    as in load_cube, and every index must lie in 1..B before any band is
+    read. The bands read must share one shape.
+    """
+    return [GrayImage(plane) for plane in _read_planes(source, indices)]
 
 
 def band_image(cube: HyperCube, band_index: int) -> GrayImage:
     """The exact W x H slice for a 1-based band index; no rescaling."""
-    if not 1 <= band_index <= cube.bands:
-        raise BandOutOfRange(f"band {band_index} not in 1..{cube.bands}")
+    _check_band(band_index, cube.bands)
     return GrayImage(cube.data[band_index - 1])
 
 

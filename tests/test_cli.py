@@ -66,6 +66,17 @@ class TestBands:
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["bands", str(tmp_path / "nope"), "--bands", "1"]) == 1
 
+    def test_reads_only_the_named_bands(self, synth_dir, tmp_path, capsys):
+        bands = synth_dir / "bands"
+        (bands / "band_2.pgm").write_bytes(b"not a pgm\n")
+        out = tmp_path / "views"
+        assert main(["bands", str(bands), "--bands", "1", "--out-dir", str(out)]) == 0
+        assert (out / "band_1.pgm").read_bytes() == (bands / "band_1.pgm").read_bytes()
+        capsys.readouterr()
+        assert main(["bands", str(bands), "--bands", "2", "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("inkscan bands: ") and err.count("\n") == 1
+
 
 class TestSpectra:
     def test_default_threshold_summary(self, synth_dir, tmp_path, capsys):
