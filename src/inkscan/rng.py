@@ -91,11 +91,16 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     Vectorized counter evaluation; u64_block(s, 0, n)[i] equals the i-th
     next_u64() of SplitMix64(s).
     """
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & _MASK64) + idx * np.uint64(_GOLDEN))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def normal_block(seed: int, start: int, count: int) -> np.ndarray:
@@ -105,7 +110,17 @@ def normal_block(seed: int, start: int, count: int) -> np.ndarray:
     to radii, the second to angles. Callers advance `start` by 2*count.
     """
     u = u64_block(seed, start, 2 * count)
+    u >>= np.uint64(11)
+    uniforms = u.astype(np.float64)
+    radius, angle = uniforms[:count], uniforms[count:]
     # (0, 1] so the log is finite
-    u1 = ((u[:count] >> np.uint64(11)).astype(np.float64) + 1.0) * _DOUBLE_SCALE
-    u2 = (u[count:] >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
+    radius += 1.0
+    radius *= _DOUBLE_SCALE
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= _DOUBLE_SCALE
+    angle *= 2.0 * math.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
