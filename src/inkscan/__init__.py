@@ -27,7 +27,6 @@ from .hsi_cube import (
     GrayImage,
     HyperCube,
     band_image,
-    load_bands,
     load_cube,
     reference_image,
     write_gray_pgm,

@@ -18,9 +18,8 @@ Each is run at `--workers 1` and `--workers 2`, which must give the same
 bytes. The k-means++ initial centroids are pinned on their own, as are
 the `spectra` CSV of the easy page (full, `--otsu --sample 500 --seed 5`,
 `--normalize unit-length`, and the header line alone that `--sample 0`
-writes), the full `spectra` CSV of the close page (about 9,800 rows, which
-span three 4096-row blocks), the `segment --normalize unit-length` outputs of
-the easy page,
+writes), the full `spectra` CSV of the close page (9,830 rows), the
+`segment --normalize unit-length` outputs of the easy page,
 the page bytes of the easy page made at sigma 0, the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
 (output paths replaced by a fixed token), the first eight outputs of
