@@ -20,7 +20,9 @@ the `spectra` CSV of the easy page (full, `--otsu --sample 500 --seed 5`,
 `--normalize unit-length`, and the header line alone that `--sample 0`
 writes), the full `spectra` CSV of the close page (9,830 rows), the
 `segment --normalize unit-length` outputs of the easy page,
-the page bytes of the easy page made at sigma 0, the easy page's
+the page bytes of the easy page made at sigma 0, the page bytes of a
+300x257 page (77,100 pixels: more than one 65,536-pixel noise tile, where
+every other pinned page fits in one), the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
 (output paths replaced by a fixed token), the first eight outputs of
 `u64_block` and `normal_block` for seed 1, and the Box-Muller uniforms
@@ -201,6 +203,16 @@ def test_unit_length_segment_pinned(pages, tmp_path):
 def test_noise_free_page_pinned(pages):
     assert _page_digest(pages["clean"]) == (
         "5d64888e20ab6a7d52e617aaf1da2ffe363acd4318a3cdabedc9edd2ff0037fd"
+    )
+
+
+def test_multi_tile_page_pinned(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out-dir", str(tmp_path), "--width", "300",
+                     "--height", "257", "--bands", "33", "--inks", "5",
+                     "--noise-sigma", "8", "--seed", "1"]) == 0
+    assert _page_digest(tmp_path) == (
+        "d306fa8226028fca493e85d8181e42f12fd4d215e0c7518a0dd8cd0b26d55d19"
     )
 
 
