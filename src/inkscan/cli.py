@@ -9,7 +9,8 @@ Each command builds its configuration records (`ThresholdConfig`,
 `KMeansParams`, `SynthSpec`) from the parsed flags before any I/O; the
 records are the only validators of the flags they hold, and argparse
 checks the rest. So a bad invocation exits 2 before any work starts.
-Runtime/data failures exit 1 with a message on stderr; success exits 0.
+Runtime/data failures, running out of memory included, exit 1 with a
+one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
 """
 
@@ -314,8 +315,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (InkscanError, OSError) as exc:
-        print(f"inkscan {args.command}: {exc}", file=sys.stderr)
+    except (InkscanError, OSError, MemoryError) as exc:
+        print(f"inkscan {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidSpec) else 1
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from inkscan import netpbm
+from inkscan import netpbm, synth
 from inkscan.cli import main
 from inkscan.segment import read_label_pgm
 
@@ -316,6 +316,21 @@ class TestSynth:
         out = tmp_path / "x"
         assert main(["synth", "--out-dir", str(out), f"--noise-sigma={sigma}"]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 32.7 TiB for an array with shape (3000000, 3000000)", ""])
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                 message):
+        def exhausted(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synth, "synth_document", exhausted)
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--width", "3000000",
+                     "--height", "3000000", "--bands", "2", "--inks", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"inkscan synth: {message or 'out of memory'}\n"
         assert not out.exists()
 
     def test_unattainable_spec_exits_2(self, tmp_path, capsys):
