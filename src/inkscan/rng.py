@@ -15,7 +15,10 @@ SplitMix64 (Steele, Lea & Flood 2014; Vigna's public-domain reference):
 
 The n-th output is therefore mix64(seed + n * 0x9E3779B97F4A7C15), which
 makes the stream counter-based: `u64_block` evaluates any window of it with
-NumPy uint64 arithmetic and is bit-identical to the scalar class.
+NumPy uint64 arithmetic and is bit-identical to the scalar class. In the
+same way `normal_block` evaluates any window of its Box-Muller block, which
+lets `synth` draw its noise on one thread per CPU with the same bytes as
+on one thread.
 """
 
 import math
@@ -103,16 +106,22 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
-def normal_block(seed: int, start: int, count: int) -> np.ndarray:
-    """`count` standard-normal draws via Box-Muller.
+def normal_block(seed: int, start: int, count: int,
+                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Draws lo:hi (default all) of a block of `count` standard normals, via Box-Muller.
 
-    Consumes stream positions [start, start + 2*count): the first half maps
-    to radii, the second to angles. Callers advance `start` by 2*count.
+    The block consumes stream positions [start, start + 2*count): draw i
+    takes its radius from position start+i and its angle from
+    start+count+i. A window computes only its own draws and is bit-equal
+    to the same slice of the whole block, so callers may split a block
+    into tiles and draw them on any number of threads. Callers advance
+    `start` by 2*count.
     """
-    u = u64_block(seed, start, 2 * count)
-    u >>= np.uint64(11)
-    uniforms = u.astype(np.float64)
-    radius, angle = uniforms[:count], uniforms[count:]
+    hi = count if hi is None else hi
+    if not 0 <= lo <= hi <= count:
+        raise ValueError(f"window {lo}:{hi} not inside a block of {count}")
+    radius = (u64_block(seed, start + lo, hi - lo) >> np.uint64(11)).astype(np.float64)
+    angle = (u64_block(seed, start + count + lo, hi - lo) >> np.uint64(11)).astype(np.float64)
     # (0, 1] so the log is finite
     radius += 1.0
     radius *= _DOUBLE_SCALE
@@ -124,3 +133,4 @@ def normal_block(seed: int, start: int, count: int) -> np.ndarray:
     np.cos(angle, out=angle)
     radius *= angle
     return radius
+

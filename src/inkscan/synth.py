@@ -8,10 +8,15 @@ around `background_level`. The realized ink pixel count is exact, so the
 truth map doubles as a pixel-precise oracle.
 
 All randomness derives from SynthSpec.seed through three child streams
-drawn in a fixed order (signatures, layout, noise).
+drawn in a fixed order (signatures, layout, noise). The noise is drawn in
+tiles of one band by 65,536 pixels, on one thread per CPU; each tile
+reads its own window of the band's counter-based stream, so the page's
+bytes do not depend on the thread count.
 """
 
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,9 @@ from .segment import SegmentationMap
 MIN_SIGNATURE_SEPARATION = 2.0
 
 _MAX_EXHAUSTIVE_K = 8
+
+# pixels per noise task; a whole 512x512 band per task raised synth's peak RSS
+_TILE = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +115,24 @@ def _bump_curve(bands: int, rng: SplitMix64) -> np.ndarray | None:
 
 _POOL_BATCH = 128
 _POOL_GROWTH_ROUNDS = 6
+# elements of one (rows, pool, bands) difference block in _mean_abs_distances
+_DIST_BLOCK = 1 << 18
+
+
+def _mean_abs_distances(pool: np.ndarray) -> np.ndarray:
+    """(n, n) mean absolute differences of the pool's rows, in row blocks.
+
+    Each row is the same reduction as np.abs(pool[:, None] - pool[None]).mean(axis=2),
+    bit for bit, without that (n, n, bands) temporary.
+    """
+    n, bands = pool.shape
+    dist = np.empty((n, n))
+    rows = max(1, _DIST_BLOCK // (n * bands))
+    for lo in range(0, n, rows):
+        diff = pool[lo:lo + rows, None, :] - pool[None, :, :]
+        np.abs(diff, out=diff)
+        dist[lo:lo + rows] = diff.mean(axis=2)
+    return dist
 
 
 def _select_spread(pool: np.ndarray, k: int) -> tuple[list[int], float]:
@@ -117,7 +143,7 @@ def _select_spread(pool: np.ndarray, k: int) -> tuple[list[int], float]:
     resolve to the lowest index, so selection is deterministic. The
     separation of a single curve is infinite.
     """
-    dist = np.abs(pool[:, None, :] - pool[None, :, :]).mean(axis=2)
+    dist = _mean_abs_distances(pool)
     if k == 1:
         return [0], np.inf
     i, j = np.unravel_index(int(dist.argmax()), dist.shape)
@@ -265,15 +291,29 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
 
     truth = _layout_truth(spec, layout_rng)
 
-    lut = np.vstack([np.full(spec.bands, float(spec.background_level)), signatures])
-    pixels = spec.width * spec.height
-    cube = np.empty((spec.bands, spec.height, spec.width), dtype=np.uint8)
-    for b in range(spec.bands):
-        plane = lut[truth, b]
+    # row b holds band b of the background and of each ink
+    lut = np.vstack([np.full(spec.bands, float(spec.background_level)), signatures]).T.copy()
+    labels = truth.ravel()
+    pixels = labels.size
+    cube = np.empty((spec.bands, pixels), dtype=np.uint8)
+    tasks = [(b, lo, min(lo + _TILE, pixels))
+             for b in range(spec.bands) for lo in range(0, pixels, _TILE)]
+
+    def fill(task):
+        b, lo, hi = task
+        plane = lut[b].take(labels[lo:hi])
         if spec.noise_sigma > 0.0:
-            block = normal_block(noise_seed, 2 * pixels * b, pixels)
-            plane = plane + spec.noise_sigma * block.reshape(spec.height, spec.width)
-        cube[b] = np.clip(np.floor(plane + 0.5), 0.0, 255.0)
+            plane += spec.noise_sigma * normal_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
+        cube[b, lo:hi] = np.clip(np.floor(plane + 0.5), 0.0, 255.0)
+
+    workers = min(os.cpu_count() or 1, len(tasks))
+    if workers == 1:
+        for task in tasks:
+            fill(task)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, tasks))
+    cube = cube.reshape(spec.bands, spec.height, spec.width)
     return HyperCube(cube), SegmentationMap(truth, spec.ink_count)
 
 

@@ -4,6 +4,7 @@ vectorized form must agree with the scalar one bit for bit."""
 import math
 
 import numpy as np
+import pytest
 
 from inkscan.rng import SplitMix64, normal_block, u64_block
 
@@ -82,7 +83,15 @@ def test_normal_block_statistics_and_reference():
 
 
 def test_normal_block_window_offsets_compose():
-    whole = normal_block(21, 0, 16)
-    # a later window re-derives the same values when starts line up
-    again = normal_block(21, 0, 16)
-    assert whole.tolist() == again.tolist()
+    n = 19
+    for start in (0, 77):
+        whole = normal_block(21, start, n)
+        # a window is the same slice of the whole block, bit for bit
+        for lo in (0, 1, n - 1, n):
+            for hi in (0, 1, n - 1, n):
+                if lo <= hi:
+                    window = normal_block(21, start, n, lo, hi)
+                    assert window.tobytes() == whole[lo:hi].tobytes(), (start, lo, hi)
+    for lo, hi in ((-1, 3), (4, 3), (0, n + 1)):
+        with pytest.raises(ValueError):
+            normal_block(21, 0, n, lo, hi)

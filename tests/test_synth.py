@@ -10,7 +10,8 @@ from inkscan.binarize import ThresholdConfig, extract_spectra, threshold_binary
 from inkscan.cluster import KMeansParams, kmeans_fit
 from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClustersForExhaustive
 from inkscan.hsi_cube import reference_image
-from inkscan.rng import SplitMix64
+from inkscan import synth
+from inkscan.rng import SplitMix64, normal_block
 from inkscan.segment import SegmentationMap, build_label_map
 from inkscan.synth import (
     EvalReport,
@@ -182,6 +183,50 @@ class TestSynthDocument:
         report = best_permutation_accuracy(pred, truth)
         assert report.accuracy == 1.0
 
+
+
+def whole_band_reference(spec, truth):
+    """The page made one whole band at a time, as synth_document did before tiling."""
+    master = SplitMix64(spec.seed)
+    sig_seed, _, noise_seed = (master.spawn_seed() for _ in range(3))
+    signatures = spec.ink_signatures
+    if signatures is None:
+        signatures = generate_signatures(spec, SplitMix64(sig_seed))
+    lut = np.vstack([np.full(spec.bands, float(spec.background_level)), signatures])
+    pixels = spec.width * spec.height
+    cube = np.empty((spec.bands, spec.height, spec.width), dtype=np.uint8)
+    for b in range(spec.bands):
+        plane = lut[truth, b]
+        if spec.noise_sigma > 0.0:
+            block = normal_block(noise_seed, 2 * pixels * b, pixels)
+            plane = plane + spec.noise_sigma * block.reshape(spec.height, spec.width)
+        cube[b] = np.clip(np.floor(plane + 0.5), 0.0, 255.0)
+    return cube
+
+
+class TestTiledNoise:
+    # (width, height, inks): 1, 65,535, 65,536, 65,537 and 2 * 65,536 + 3 pixels
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (255, 257, 3), (256, 256, 3),
+                                       (65_537, 1, 1), (5_243, 25, 3)])
+    @pytest.mark.parametrize("sigma,background", [(0.0, 0), (0.0, 40), (3.0, 0), (3.0, 40)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_tiles_match_whole_bands(self, monkeypatch, shape, sigma, background, cpus):
+        width, height, inks = shape
+        spec = SynthSpec(width=width, height=height, bands=3, ink_count=inks,
+                         noise_sigma=sigma, coverage=0.6, background_level=background,
+                         seed=13)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: cpus)
+        cube, truth = synth_document(spec)
+        expected = whole_band_reference(spec, truth.labels)
+        assert cube.data.tobytes() == expected.tobytes()
+
+    def test_row_block_distances_match_the_3d_mean(self, rng):
+        # one block, several blocks, and a partial last block; the oracle
+        # stays under 3M elements
+        for n, bands in ((1, 33), (5, 2), (600, 1), (128, 33), (300, 33), (40, 1000)):
+            pool = rng.uniform(60.0, 255.0, (n, bands))
+            oracle = np.abs(pool[:, None, :] - pool[None, :, :]).mean(axis=2)
+            assert synth._mean_abs_distances(pool).tobytes() == oracle.tobytes(), (n, bands)
 
 class TestConfusion:
     def test_identical_maps_diagonal(self, rng):
