@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binarize import SpectrumSet
-from .errors import DimensionMismatch, EmptyInput, InvalidSpec, TooFewSamples
+from .errors import DimensionMismatch, InvalidSpec, TooFewSamples
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
@@ -240,8 +240,6 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
 def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
     x = kern.x
     n = x.shape[0]
-    if n == 0:
-        raise EmptyInput("no samples to initialize from")
     if n < k:
         raise TooFewSamples(f"{n} samples for k={k}")
     rng = SplitMix64(seed)

@@ -16,7 +16,7 @@ class MissingBandFile(InkscanError):
 
 
 class DimensionMismatch(InkscanError):
-    """Two inputs that must agree in shape do not."""
+    """Two inputs that must agree in shape or count do not."""
 
     def __init__(self, message, band_index=None, expected=None, found=None):
         super().__init__(message)
@@ -65,26 +65,10 @@ class TooFewSamples(InkscanError):
     """Fewer samples than requested clusters."""
 
 
-class EmptyInput(InkscanError):
-    """An operation received zero samples."""
-
-
 # --- segmentation / evaluation ----------------------------------------------
 
-class CountMismatch(InkscanError):
-    """Label count disagrees with the mask's foreground count."""
-
-
-class PaletteTooSmall(InkscanError):
-    """Palette holds fewer cluster colors than the map needs."""
-
-
 class TooManyClusters(InkscanError):
-    """Label values exceed what an 8-bit PGM can carry."""
-
-
-class TooManyClustersForExhaustive(InkscanError):
-    """Cluster count exceeds the exhaustive permutation-search regime."""
+    """More clusters than a palette, an 8-bit PGM or the eval scorer takes."""
 
 
 class InvalidSpec(InkscanError, ValueError):

@@ -50,14 +50,6 @@ class GrayImage:
     def __post_init__(self):
         freeze_array(self, "pixels", np.uint8, 2)
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class HyperCube:
@@ -81,10 +73,6 @@ class HyperCube:
     def width(self) -> int:
         return self.data.shape[2]
 
-    def pixel_spectrum(self, x: int, y: int) -> np.ndarray:
-        """The B-vector of intensities at pixel (x, y), as float64."""
-        return self.data[:, y, x].astype(np.float64)
-
 
 def read_manifest(path) -> list[tuple[int, str]]:
     """Parse a manifest file: one `<band_index><TAB><relative path>` per line.
@@ -94,7 +82,7 @@ def read_manifest(path) -> list[tuple[int, str]]:
     """
     entries = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise UnsupportedFormat(f"{path}: manifest is not a text file") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import netpbm
 from .binarize import ForegroundMask, SpectrumSet
-from .errors import CountMismatch, IoFailure, PaletteTooSmall, TooManyClusters
+from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
@@ -55,7 +55,7 @@ class SegmentationMap:
 def default_palette(k: int) -> np.ndarray:
     """The fixed (k + 1, 3) uint8 color table: black background, first k cluster colors."""
     if k > MAX_CLUSTERS:
-        raise PaletteTooSmall(f"default palette has {MAX_CLUSTERS} cluster colors, need {k}")
+        raise TooManyClusters(f"default palette has {MAX_CLUSTERS} cluster colors, need {k}")
     return _COLORS[: k + 1]
 
 
@@ -67,7 +67,7 @@ def build_label_map(mask: ForegroundMask, labels: np.ndarray, k: int) -> Segment
     """
     labels = np.asarray(labels)
     if labels.shape != (mask.count,):
-        raise CountMismatch(
+        raise DimensionMismatch(
             f"{labels.shape[0] if labels.ndim else 0} labels for "
             f"{mask.count} foreground pixels"
         )
@@ -88,7 +88,7 @@ def render_segmentation(segmap: SegmentationMap, palette: np.ndarray) -> np.ndar
     if palette.ndim != 2 or palette.shape[1] != 3 or not ((palette >= 0) & (palette <= 255)).all():
         raise ValueError(f"palette must be a (rows, 3) table of 0..255, got {palette.shape}")
     if len(palette) <= segmap.k:
-        raise PaletteTooSmall(
+        raise TooManyClusters(
             f"palette has {len(palette) - 1} cluster colors, map needs {segmap.k}"
         )
     lut = palette[: segmap.k + 1].astype(np.uint8)

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidSpec,
-    TooManyClustersForExhaustive,
-)
+from .errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from .hsi_cube import HyperCube
 from .rng import SplitMix64, normal_block
 from .segment import SegmentationMap
@@ -340,7 +336,7 @@ def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> 
     With no truth ink pixels the accuracy is defined as 1.0.
     """
     if pred.k > _MAX_EXHAUSTIVE_K or truth.k > _MAX_EXHAUSTIVE_K:
-        raise TooManyClustersForExhaustive(
+        raise TooManyClusters(
             f"exhaustive search handles k <= {_MAX_EXHAUSTIVE_K}"
         )
     counts = confusion_matrix(pred, truth)

@@ -9,6 +9,7 @@ from inkscan.binarize import (
     KEEP_AT_OR_ABOVE,
     KEEP_BELOW,
     ForegroundMask,
+    SpectrumSet,
     ThresholdConfig,
     extract_spectra,
     normalize_spectra,
@@ -156,7 +157,7 @@ class TestExtractSpectra:
         spectra = extract_spectra(cube, ForegroundMask(flags))
         assert spectra.count == int(flags.sum())
         for row, (x, y) in zip(spectra.vectors, spectra.coords):
-            assert row.tobytes() == cube.pixel_spectrum(int(x), int(y)).tobytes()
+            assert row.tobytes() == cube.data[:, y, x].astype(np.float64).tobytes()
 
     def test_samples_stored_band_major(self, rng):
         cube = HyperCube(rng.integers(1, 256, size=(7, 6, 5)).astype(np.uint8))
@@ -174,6 +175,12 @@ class TestExtractSpectra:
         cube = HyperCube(np.zeros((2, 3, 3), dtype=np.uint8))
         with pytest.raises(DimensionMismatch):
             extract_spectra(cube, ForegroundMask(np.ones((2, 3), dtype=bool)))
+
+    def test_spectrum_set_rejects_bad_coords(self):
+        with pytest.raises(ValueError, match=r"\(N, 2\) coords"):
+            SpectrumSet(np.zeros((4, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="4 spectra but 3 coordinates"):
+            SpectrumSet(np.zeros((4, 3)), np.zeros((3, 2)))
 
 
 class TestNormalize:
@@ -206,3 +213,7 @@ class TestNormalize:
         with pytest.raises(ZeroSpectrum) as exc:
             normalize_spectra(spectra, "unit-length")
         assert exc.value.row == 1
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown normalization 'l2'"):
+            normalize_spectra(make_spectrum_set([[1.0, 2.0]]), "l2")

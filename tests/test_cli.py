@@ -46,6 +46,14 @@ class TestBands:
     def test_empty_band_list_exits_2(self, synth_dir, capsys):
         assert main(["bands", str(synth_dir / "bands"), "--bands", ","]) == 2
 
+    def test_unparsable_band_list_exits_2_without_output(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "views"
+        code = main(["bands", str(synth_dir / "bands"), "--bands", "1,x",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "bad band list '1,x'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bands", ["0", "0,-2", "3,-1"])
     def test_band_below_1_exits_2_before_loading(self, tmp_path, capsys, bands):
         out = tmp_path / "views"
@@ -100,6 +108,14 @@ class TestSpectra:
             assert main(["spectra", str(synth_dir / "bands"), "--sample", "100",
                          "--seed", "1", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_sample_exits_2_without_output(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["spectra", str(synth_dir / "bands"), "--sample", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_summary(self, synth_dir, tmp_path, capsys):
         code = main(["spectra", str(synth_dir / "bands"), "--json",

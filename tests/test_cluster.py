@@ -22,7 +22,7 @@ from inkscan.cluster import (
     kmeans_fit,
     kmeans_init,
 )
-from inkscan.errors import DimensionMismatch, EmptyInput, InvalidSpec, TooFewSamples
+from inkscan.errors import DimensionMismatch, InvalidSpec, TooFewSamples
 from conftest import make_spectrum_set
 
 
@@ -148,7 +148,7 @@ class TestFit:
     def test_too_few_and_empty(self):
         with pytest.raises(TooFewSamples):
             kmeans_fit(make_spectrum_set([[1.0, 2.0]]), KMeansParams(k=2))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(TooFewSamples, match="0 samples"):
             kmeans_fit(make_spectrum_set(np.zeros((0, 3))), KMeansParams(k=1))
 
     def test_fixed_point_after_convergence(self, rng):
@@ -384,6 +384,10 @@ class TestAssignAndInertia:
     def test_inertia_label_out_of_range(self):
         with pytest.raises(DimensionMismatch):
             inertia(np.zeros((2, 2)), make_spectrum_set([[0.0, 0.0]]), np.array([5]))
+
+    def test_inertia_label_count_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="3 labels for 2 samples"):
+            inertia(np.zeros((2, 2)), make_spectrum_set(np.zeros((2, 2))), np.zeros(3, int))
 
 
 class TestParams:

@@ -70,6 +70,24 @@ def test_manifest_overrides_natural_filename_order(tmp_path):
     assert [int(cube.data[b, 0, 0]) for b in range(3)] == [120, 40, 80]
 
 
+def test_manifest_with_byte_order_mark_loads_same_cube(tmp_path):
+    for i, value in [(1, 40), (2, 80)]:
+        write_band(tmp_path / f"x{i}.pgm", value)
+    plain, marked = tmp_path / "plain.manifest", tmp_path / "marked.manifest"
+    plain.write_text("2\tx2.pgm\n1\tx1.pgm\n", encoding="utf-8")
+    marked.write_text("2\tx2.pgm\n1\tx1.pgm\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_manifest(marked) == read_manifest(plain)
+    assert load_cube(marked).data.tobytes() == load_cube(plain).data.tobytes()
+
+
+def test_manifest_not_utf8_is_unsupported(tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_bytes(b"\xef\xbb\xbf1\ta\xff.pgm\n")
+    with pytest.raises(UnsupportedFormat, match="not a text file"):
+        read_manifest(m)
+
+
 def test_manifest_rejects_gaps_and_duplicates(tmp_path):
     m = tmp_path / "m.txt"
     m.write_text("1\ta.pgm\n3\tb.pgm\n")
@@ -141,6 +159,12 @@ def test_minimal_single_band_cube(tmp_path):
     cube = load_cube(tmp_path)
     assert (cube.width, cube.height, cube.bands) == (1, 1, 1)
     assert int(cube.data[0, 0, 0]) == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+def test_cube_rejects_zero_length_axis(shape):
+    with pytest.raises(ValueError, match="dimensions must all be >= 1"):
+        HyperCube(np.zeros(shape, dtype=np.uint8))
 
 
 def test_band_image_slices_and_range(rng):
@@ -243,12 +267,6 @@ def test_gray_pgm_round_trip(tmp_path, rng):
     image = GrayImage(rng.integers(0, 256, size=(9, 2)).astype(np.uint8))
     write_gray_pgm(image, tmp_path / "g.pgm")
     assert np.array_equal(netpbm.read_pgm(tmp_path / "g.pgm"), image.pixels)
-
-
-def test_pixel_spectrum_matches_layout(rng):
-    data = rng.integers(0, 256, size=(5, 3, 4)).astype(np.uint8)
-    cube = HyperCube(data)
-    assert cube.pixel_spectrum(2, 1).tolist() == data[:, 1, 2].astype(float).tolist()
 
 
 def test_binary_file_as_manifest_is_unsupported(tmp_path):

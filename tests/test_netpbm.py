@@ -110,6 +110,19 @@ def test_writer_rejects_empty_image(tmp_path):
     assert not (tmp_path / "e.pgm").exists()
 
 
+def test_writers_reject_wrong_ndim(tmp_path):
+    with pytest.raises(IoFailure, match="PGM needs a 2-d array"):
+        netpbm.write_pgm(np.zeros((2, 2, 3), dtype=np.uint8), tmp_path / "a.pgm")
+    with pytest.raises(IoFailure, match=r"PPM needs a \(h, w, 3\) array"):
+        netpbm.write_ppm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "a.ppm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_into_missing_directory_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure, match="cannot write"):
+        netpbm.write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "no" / "a.pgm")
+
+
 def test_reader_accepts_zero_padded_fields(tmp_path):
     path = tmp_path / "z.pgm"
     path.write_bytes(b"P5\n0000000004 3\n255\n" + bytes(range(12)))

@@ -49,6 +49,16 @@ def test_below_bounds_and_coverage():
     assert SplitMix64(42).below(1) == 0
 
 
+def test_below_rejects_empty_range():
+    with pytest.raises(ValueError, match="n >= 1"):
+        SplitMix64(0).below(0)
+
+
+def test_sample_indices_rejects_k_above_n():
+    with pytest.raises(ValueError, match="cannot sample 4 of 3"):
+        SplitMix64(0).sample_indices(3, 4)
+
+
 def test_below_determinism():
     a = [SplitMix64(9).below(1000) for _ in range(1)]
     b = [SplitMix64(9).below(1000) for _ in range(1)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inkscan.binarize import ForegroundMask, SpectrumSet
-from inkscan.errors import CountMismatch, IoFailure, PaletteTooSmall, TooManyClusters
+from inkscan.errors import DimensionMismatch, IoFailure, TooManyClusters
 from inkscan.segment import (
     SegmentationMap,
     build_label_map,
@@ -37,8 +37,17 @@ class TestBuildLabelMap:
 
     def test_count_mismatch(self):
         mask = mask_of([[1, 1]])
-        with pytest.raises(CountMismatch):
+        with pytest.raises(DimensionMismatch, match="1 labels for 2 foreground pixels"):
             build_label_map(mask, np.array([0]), 5)
+
+    @pytest.mark.parametrize("label", [-1, 5])
+    def test_label_outside_0_to_k_minus_1(self, label):
+        with pytest.raises(ValueError, match=r"cluster labels must lie in 0\.\.4"):
+            build_label_map(mask_of([[1, 1]]), np.array([0, label]), 5)
+
+    def test_map_label_above_k(self):
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2"):
+            SegmentationMap(np.array([[3]]), 2)
 
     def test_scan_order_round_trip(self, rng):
         flags = rng.random((6, 7)) < 0.5
@@ -85,9 +94,9 @@ class TestRender:
 
     def test_palette_too_small(self):
         segmap = SegmentationMap(np.array([[3]]), 3)
-        with pytest.raises(PaletteTooSmall):
+        with pytest.raises(TooManyClusters, match="palette has 1 cluster colors, map needs 3"):
             render_segmentation(segmap, np.array([(0, 0, 0), (255, 0, 0)], dtype=np.uint8))
-        with pytest.raises(PaletteTooSmall):
+        with pytest.raises(TooManyClusters, match="default palette has 8 cluster colors, need 9"):
             default_palette(9)
 
     def test_default_palette_distinct(self):

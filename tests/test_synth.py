@@ -8,7 +8,7 @@ import pytest
 
 from inkscan.binarize import ThresholdConfig, extract_spectra, threshold_binary
 from inkscan.cluster import KMeansParams, kmeans_fit
-from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClustersForExhaustive
+from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from inkscan.hsi_cube import reference_image
 from inkscan import synth
 from inkscan.rng import SplitMix64, normal_block
@@ -144,6 +144,16 @@ class TestSynthDocument:
             small_spec(ink_signatures=np.zeros((2, 8)))
         with pytest.raises(InvalidSpec):
             small_spec(background_level=300)
+
+    @pytest.mark.parametrize("field", ["width", "height", "bands"])
+    def test_zero_extent_rejected(self, field):
+        sizes = {"width": 10, "height": 10, "bands": 2, field: 0}
+        with pytest.raises(InvalidSpec, match="must all be >= 1"):
+            SynthSpec(**sizes, ink_count=1)
+
+    def test_fewer_rows_than_inks_rejected(self):
+        with pytest.raises(InvalidSpec, match="height >= ink_count"):
+            SynthSpec(width=100, height=2, bands=4, ink_count=3)
 
     def test_ink_count_fits_8_bit_labels(self):
         spec = SynthSpec(width=16, height=255, bands=1, ink_count=255, coverage=0.5)
@@ -316,7 +326,7 @@ class TestBestPermutationAccuracy:
 
     def test_k_above_exhaustive_limit(self):
         segmap = SegmentationMap(np.zeros((2, 2), dtype=int), 9)
-        with pytest.raises(TooManyClustersForExhaustive):
+        with pytest.raises(TooManyClusters, match="exhaustive search handles k <= 8"):
             best_permutation_accuracy(segmap, segmap)
 
     def test_no_truth_ink_defined_as_one(self):
