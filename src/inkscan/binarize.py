@@ -162,8 +162,12 @@ def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:
         return spectra
     if mode != "unit-length":
         raise ValueError(f"unknown normalization {mode!r}; use 'none' or 'unit-length'")
-    rows = np.ascontiguousarray(spectra.vectors)  # einsum rounds by memory layout
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms = np.empty(spectra.count)
+    for s in range(0, spectra.count, 4096):
+        # einsum rounds by memory layout: each row's norm has the bits of a
+        # row-major row, in blocks of any size
+        rows = np.ascontiguousarray(spectra.vectors[s : s + 4096])
+        norms[s : s + 4096] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroSpectrum(int(zero[0]))

@@ -99,7 +99,8 @@ def _add_cluster_flags(parser):
     parser.add_argument("--restarts", type=int, default=1,
                         help="seeded restarts, best inertia wins (default 1)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="assignment threads; results are identical for any count")
+                        help="threads for the exact distance passes of k-means++ init and "
+                             "empty-cluster reseeds; results are identical for any count")
 
 
 def build_parser() -> argparse.ArgumentParser:

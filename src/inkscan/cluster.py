@@ -10,22 +10,30 @@ Everything here is reproducible bit-for-bit from the seed:
 - restarts run with seeds seed, seed+1, ... and the lowest-inertia model
   wins, ties to the lowest restart index.
 
-Distances are squared Euclidean on raw 64-bit floats, sum((x - c)^2)
-rather than the dot-product expansion, with the exact bits of NumPy's
-row sum ((x - c) * (x - c)).sum(axis=-1). They are computed band-major,
-as `SpectrumSet` stores the samples: a chunk's B band rows minus the k
-centroids fill a (B, k, CHUNK_SIZE) scratch array, squared in place, and
-the B band planes are added in NumPy's pairwise row-sum order (see
-`_fold_bands`), so each add covers k * CHUNK_SIZE distances. Each worker
-thread allocates its scratch once, B * k * CHUNK_SIZE * 8 bytes (5.4 MB
-at B = 33, k = 5). A fit creates one thread pool for all its restarts;
-each Lloyd iteration is one pass over the chunks that assigns labels
-and returns the chunk's per-cluster sums and counts, added in chunk order.
+Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
+`_Kernel.sq_dists`, has the bits of NumPy's row sum
+((x - c) * (x - c)).sum(axis=-1), computed band-major as `SpectrumSet`
+stores the samples: a chunk's B band rows minus the k centroids fill a
+(B, k, chunk) prefix of a per-thread scratch buffer (5.4 MB at B = 33,
+k = 5), squared in place, and the band planes are added in NumPy's
+pairwise row-sum order (`_fold_bands`). It alone serves k-means++ init
+and the empty-cluster reseed, whose distances feed sampling sums, on the
+thread pool a fit creates once for all its restarts.
+
+A Lloyd iteration runs on the calling thread and uses BLAS without
+letting it move a bit: `_assign_labels` takes a label from a BLAS matmul
+only where an error bound proves the exact kernel picks the same
+centroid, and asks the exact kernel everywhere else, so BLAS's rounding
+and thread count decide only which samples fall back; `_cluster_sums`
+sums integral samples by matmul only where every partial sum is an exact
+integer, which any summation order gives, and otherwise by bincount in
+sample order.
 """
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,14 +100,15 @@ class _Kernel:
     """The (N, B) samples of one call in fixed chunks, with at most one thread pool.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `sq_dists` fills a (B, rows, CHUNK_SIZE) scratch array that each
-    thread allocates once and reuses for every chunk it handles.
+    `sq_dists` fills a (B, k, m) prefix of a B * rows * CHUNK_SIZE scratch
+    buffer that each thread allocates once and reuses for every chunk it
+    handles. `norms` and `integral` are worked out once, on first use.
     """
 
     def __init__(self, x: np.ndarray, rows: int, workers: int = 1):
         self.x = x
         self.spans = _chunks(x.shape[0])
-        self._scratch_shape = (x.shape[1], rows, min(CHUNK_SIZE, x.shape[0]))
+        self._scratch_size = x.shape[1] * rows * min(CHUNK_SIZE, x.shape[0])
         self._local = threading.local()
         self._workers = workers if len(self.spans) > 1 else 1
         self._pool = None
@@ -119,6 +128,27 @@ class _Kernel:
             return [fn(s, e) for s, e in self.spans]
         return list(self._pool.map(lambda span: fn(*span), self.spans))
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """|x| per sample, for the label step's error bound."""
+        norms = np.empty(self.x.shape[0])
+        for s, e in self.spans:
+            rows = self.x.T[:, s:e]
+            norms[s:e] = np.sqrt(np.einsum("ij,ij->j", rows, rows))
+        return norms
+
+    @cached_property
+    def integral(self) -> bool:
+        """Whether every sample is an integer and N * max|x| <= 2^53, so
+        that every partial sum of samples is exact, in any order."""
+        peak = 0.0
+        for s, e in self.spans:
+            rows = self.x.T[:, s:e]
+            if not (np.trunc(rows) == rows).all():  # NaN fails here
+                return False
+            peak = max(peak, float(np.abs(rows).max()))
+        return peak < np.inf and self.x.shape[0] * int(peak) <= 2**53
+
     def sq_dists(self, s: int, e: int, centroids: np.ndarray) -> np.ndarray:
         """(rows, e - s) squared distances of samples s:e to each centroid.
 
@@ -126,11 +156,20 @@ class _Kernel:
         result is a view into this thread's scratch, valid until its
         next call.
         """
+        return self.sq_dists_of(self.x.T[:, s:e], centroids)
+
+    def sq_dists_of(self, rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """`sq_dists` for any (B, m) band rows, m <= CHUNK_SIZE.
+
+        Every operation is elementwise along m, so a sample's distances
+        have the same bits whichever columns it shares the call with.
+        """
         scratch = getattr(self._local, "scratch", None)
         if scratch is None:
-            scratch = self._local.scratch = np.empty(self._scratch_shape)
-        t = scratch[:, : centroids.shape[0], : e - s]
-        np.subtract(self.x.T[:, None, s:e], centroids.T[:, :, None], out=t)
+            scratch = self._local.scratch = np.empty(self._scratch_size)
+        # a contiguous prefix, so a call with few centroids or columns touches few pages
+        t = scratch[: rows.size * len(centroids)].reshape(len(rows), len(centroids), rows.shape[1])
+        np.subtract(rows[:, None, :], centroids.T[:, :, None], out=t)
         np.multiply(t, t, out=t)
         _fold_bands(t, 0, t.shape[0])
         return t[0]
@@ -188,32 +227,66 @@ def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
-    """Assign every sample (into `labels`); return per-cluster sums and counts.
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN scores fall back
+def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> None:
+    """Nearest centroid per sample into `labels`; exact ties to the lowest index.
 
-    Within a chunk, one bincount per band row adds each cluster's members
-    in sample order, as NumPy sums a cluster's member rows when B > 1;
-    chunk partials are added in chunk order, so the totals do not depend
-    on the thread count.
+    A chunk's scores come from one matmul, d = |c|^2 - 2 c.x, the squared
+    distance less |x|^2. d + |x|^2 and the exact `sq_dists` value are both
+    within E = gamma_(B+2) (|x| + max|c|)^2 of the true distance, so where
+    only one centroid scores within 4E of a sample's lowest score, it is
+    the exact kernel's nearest, by a strict margin. The margin used is
+    generous: 4 (B + 4) eps (|x| + max|c|)^2, plus (B + 4) smallest normal
+    doubles for underflow. Every other sample, NaN and inf included, takes
+    the exact kernel.
     """
     k, bands = centroids.shape
-
-    def run(s, e):
-        lab = _nearest(kern.sq_dists(s, e, centroids))
+    scale = 4 * (bands + 4) * np.finfo(np.float64).eps
+    tiny = (bands + 4) * np.finfo(np.float64).smallest_normal
+    minus_2c = -2.0 * centroids  # exact
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)[:, None]
+    c_max = np.sqrt(c_sq.max())
+    for s, e in kern.spans:
+        d = minus_2c @ kern.x.T[:, s:e]
+        d += c_sq
+        best = d.min(axis=0)
+        lab = np.zeros(e - s, dtype=np.intp)
+        for c in range(1, k):  # the unique minimum wherever the margin holds
+            lab[d[c] == best] = c
+        best += (kern.norms[s:e] + c_max) ** 2 * scale + tiny
+        unsure = np.flatnonzero((d <= best).sum(axis=0) != 1)
+        if unsure.size:
+            lab[unsure] = _nearest(kern.sq_dists_of(kern.x.T[:, s + unsure], centroids))
         labels[s:e] = lab
-        rows = kern.x.T[:, s:e]
-        if bands == 1:  # NumPy sums a one-column member block pairwise
-            sums = np.array([[rows[0, lab == c].sum() for c in range(k)]])
-        else:
-            sums = np.array([np.bincount(lab, weights=row, minlength=k) for row in rows])
-        return sums, np.bincount(lab, minlength=k)
 
-    sums = np.zeros((bands, k))
-    counts = np.zeros(k, dtype=np.int64)
-    for chunk_sums, chunk_counts in kern.map(run):
-        sums += chunk_sums
-        counts += chunk_counts
-    return sums.T, counts
+
+def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
+    """Per-cluster sums (k x B) and counts of the samples under `labels`.
+
+    One bincount per band row and chunk adds each cluster's members in
+    sample order, as NumPy sums a cluster's member rows when B > 1; chunk
+    partials are added in chunk order onto 0.0. On integral samples every
+    such sum is exact, so a one-hot matmul per chunk has the same bits
+    (adding onto 0.0 turns its -0.0 into bincount's +0.0).
+    """
+    x_t = kern.x.T
+    sums = np.zeros((x_t.shape[0], k))
+    ids = np.arange(k)[:, None]
+    for s, e in kern.spans:
+        lab, rows = labels[s:e], x_t[:, s:e]
+        if kern.integral:
+            sums += rows @ (ids == lab).astype(np.float64).T
+        elif len(rows) == 1:  # NumPy sums a one-column member block pairwise
+            sums += [[rows[0, lab == c].sum() for c in range(k)]]
+        else:
+            sums += [np.bincount(lab, weights=row, minlength=k) for row in rows]
+    return sums.T, np.bincount(labels, minlength=k)
+
+
+def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
+    """Assign every sample (into `labels`); return per-cluster sums and counts."""
+    _assign_labels(kern, centroids, labels)
+    return _cluster_sums(kern, labels, centroids.shape[0])
 
 
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -275,12 +348,14 @@ def _as_centroids(centroids, x: np.ndarray) -> np.ndarray:
 
 
 def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.ndarray:
-    """Nearest-centroid label per sample; exact ties to the lowest index."""
+    """Nearest-centroid label per sample; exact ties to the lowest index.
+
+    Runs on the calling thread; `workers` is accepted and changes nothing.
+    """
     x = spectra.vectors
     centroids = _as_centroids(centroids, x)
     labels = np.empty(x.shape[0], dtype=np.int32)
-    with _Kernel(x, centroids.shape[0], workers) as kern:
-        _lloyd_pass(kern, centroids, labels)
+    _assign_labels(_Kernel(x, centroids.shape[0]), centroids, labels)
     return labels
 
 

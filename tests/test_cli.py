@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: exit-code families, determinism, composition."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inkscan
 from inkscan import netpbm, synth
 from inkscan.cli import main
 from inkscan.segment import read_label_pgm
@@ -206,6 +209,31 @@ class TestSegment:
         _, render_b, labels_b = self.run_segment(synth_dir, tmp_path, "w4", ["--workers", "4"])
         assert render_a.read_bytes() == render_b.read_bytes()
         assert labels_a.read_bytes() == labels_b.read_bytes()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
+        """BLAS scores only choose which samples the exact kernel labels, so
+        OpenBLAS's thread count moves no output byte. The page's foreground
+        spans more than one 4096-sample chunk."""
+        doc = tmp_path / "doc"
+        assert main(["synth", "--out-dir", str(doc), "--width", "96", "--height", "96",
+                     "--bands", "33", "--inks", "5", "--noise-sigma", "8",
+                     "--coverage", "0.6", "--seed", "5"]) == 0
+        src = str(Path(inkscan.__file__).resolve().parents[1])
+        render, labels = tmp_path / "r.ppm", tmp_path / "l.pgm"  # --json prints the paths
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            result = subprocess.run(
+                [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
+                 "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
+                 "--out-render", str(render), "--out-labels", str(labels), "--json"],
+                capture_output=True, env=env,
+            )
+            assert result.returncode == 0, result.stderr
+            runs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
+        assert json.loads(runs[0][0])["pixels"] > 4096
+        assert runs[0] == runs[1]
 
     def test_k1_single_ink_color(self, synth_dir, tmp_path, capsys):
         render = tmp_path / "k1.ppm"

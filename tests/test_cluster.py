@@ -15,6 +15,7 @@ from inkscan.cluster import (
     INIT_RANDOM,
     KMeansParams,
     _Kernel,
+    _cluster_sums,
     _lloyd_pass,
     _sq_dist_to,
     assign,
@@ -468,6 +469,71 @@ class TestKernel:
             assert np.array_equal(bits(sums), bits(want_sums))
             assert np.array_equal(counts, want_counts)
             assert counts[4] == 0
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
+    def test_certified_labels_match_exact_oracles(self, b):
+        """Near-duplicate centroids leave BLAS scores unable to rank most rows.
+
+        The label step must still return the exact kernel's labels: the
+        broadcast formula's argmin, and for B < 8, where NumPy's row sum
+        adds sequentially as brute force does, `brute_force_assign` too
+        (from 8 bands NumPy sums pairwise, and on these near ties its bits
+        and brute force's pick different centroids).
+        """
+        gen = np.random.default_rng(b)
+        for scale in (1e-3, 1.0, 1e3, 1e6):
+            c = gen.normal(size=b) * 10 * scale
+            centroids = np.vstack([c, np.nextafter(c, np.inf), c + 1e-9 * scale, c,
+                                   c + 1e3 * scale])
+            x = c + gen.normal(size=(5000, b)) * scale
+            x[0, 0], x[1, 0], x[2, b - 1] = np.nan, np.inf, -np.inf
+            want = np.concatenate([broadcast_sq_dists(x[s:s + 1000], centroids).argmin(axis=1)
+                                   for s in range(0, len(x), 1000)])
+            if b < 8:
+                assert want.tolist() == brute_force_assign(x.tolist(), centroids.tolist())
+            spectra = make_spectrum_set(x)
+            for workers in (1, 2):
+                got = assign(centroids, spectra, workers=workers)
+                assert np.array_equal(got, want), (scale, workers)
+
+    @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "b1", "at 2^53",
+                                      "past 2^53"])
+    def test_exact_sums_bit_equal_to_chunked_accumulate(self, case):
+        """Integral samples take the one-hot matmul; the bits stay bincount's."""
+        gen = np.random.default_rng(7)
+        n, b, k = 10000, 33, 5
+        if case == "8-bit":
+            x = gen.integers(0, 256, size=(n, b)).astype(np.float64)
+        elif case == "negative":
+            x = gen.integers(-1000, 1001, size=(n, b)).astype(np.float64)
+        elif case == "negative zero":
+            x = gen.integers(-2, 3, size=(n, b)).astype(np.float64)
+            x[x == 0] = -0.0
+            x[:, 3] = -0.0  # every cluster's band-3 sum adds only -0.0
+        elif case == "b1":
+            b = 1
+            x = gen.integers(-255, 256, size=(n, b)).astype(np.float64)
+        labels = gen.integers(0, k - 1, size=n).astype(np.int32)  # cluster k-1 stays empty
+        if "2^53" in case:
+            # N * max|x| at 2^53 or just past it, every sample in cluster 0: past it,
+            # the sums leave the exact integers and only sample order gives bincount's bits
+            peak = 2**53 // n + (case == "past 2^53")
+            x = peak - gen.integers(0, 2, size=(n, b)).astype(np.float64)
+            x[0] = peak
+            labels[:] = 0
+        for m in (n,) if "2^53" in case else (0, 1, 255, n):
+            for layout in (np.asfortranarray(x[:m]), x[:m]):  # SpectrumSet's, and row-major
+                kern = _Kernel(layout, k)
+                assert kern.integral == (case != "past 2^53")
+                sums, counts = _cluster_sums(kern, labels[:m], k)
+                want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
+                assert np.array_equal(bits(sums), bits(want_sums)), (case, m)
+                assert np.array_equal(counts, want_counts)
+                assert counts[k - 1] == 0
+
+    def test_fractions_nan_and_inf_are_not_integral(self):
+        for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]):
+            assert not _Kernel(np.array(x), 1).integral
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
         points = rng.normal(size=(10000, 6)) * 3.0
