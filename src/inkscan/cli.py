@@ -99,8 +99,8 @@ def _add_cluster_flags(parser):
     parser.add_argument("--restarts", type=int, default=1,
                         help="seeded restarts, best inertia wins (default 1)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="threads for the exact distance passes of k-means++ init and "
-                             "empty-cluster reseeds; results are identical for any count")
+                        help="accepted for compatibility and changes nothing: the fit "
+                             "runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,7 +208,7 @@ def cmd_segment(args) -> int:
         restarts=args.restarts,
     )
     mask, spectra = _foreground(args)
-    model = cluster.kmeans_fit(spectra, params, workers=args.workers)
+    model = cluster.kmeans_fit(spectra, params)
     segmap = segment.build_label_map(mask, model.labels, args.k)
     palette = segment.default_palette(args.k)
     render = segment.render_segmentation(segmap, palette)

@@ -1,12 +1,12 @@
 """Deterministic K-means (Lloyd's algorithm) over spectral vectors.
 
-Everything here is reproducible bit-for-bit from the seed:
+Everything here is reproducible bit-for-bit from the seed, on the
+calling thread:
 
 - initialization draws from the package's SplitMix64 stream;
 - assignment ties go to the lowest centroid index;
 - samples are processed in fixed-size chunks (CHUNK_SIZE) and all
-  reductions combine chunks in index order, so any thread count yields
-  byte-identical results to the sequential run;
+  reductions combine chunks in index order;
 - restarts run with seeds seed, seed+1, ... and the lowest-inertia model
   wins, ties to the lowest restart index.
 
@@ -14,24 +14,28 @@ Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
 `_Kernel.sq_dists`, has the bits of NumPy's row sum
 ((x - c) * (x - c)).sum(axis=-1), computed band-major as `SpectrumSet`
 stores the samples: a chunk's B band rows minus the k centroids fill a
-(B, k, chunk) prefix of a per-thread scratch buffer (5.4 MB at B = 33,
-k = 5), squared in place, and the band planes are added in NumPy's
-pairwise row-sum order (`_fold_bands`). It alone serves k-means++ init
-and the empty-cluster reseed, whose distances feed sampling sums, on the
-thread pool a fit creates once for all its restarts.
+(B, k, chunk) prefix of one scratch buffer (5.4 MB at B = 33, k = 5),
+squared in place, and the band planes are added in NumPy's pairwise
+row-sum order (`_fold_bands`).
 
-A Lloyd iteration runs on the calling thread and uses BLAS without
-letting it move a bit: `_assign_labels` takes a label from a BLAS matmul
-only where an error bound proves the exact kernel picks the same
-centroid, and asks the exact kernel everywhere else, so BLAS's rounding
-and thread count decide only which samples fall back; `_cluster_sums`
-sums integral samples by matmul only where every partial sum is an exact
-integer, which any summation order gives, and otherwise by bincount in
-sample order.
+k-means++ init and the empty-cluster reseed need every sample's distance
+to one point, and those distances feed sampling sums, so they must have
+the exact kernel's bits. `_sq_dist_to` takes them from one matvec,
+|x|^2 + |c|^2 - 2 c.x, where samples and point are integers of magnitude
+at most M (`_Kernel.peak`) and 4 B M^2 <= 2^53: every term and partial
+sum is then an exact integer, whatever order BLAS sums in. Any other
+point (real-valued samples, a reseed from a centroid mean) takes the
+exact kernel.
+
+A Lloyd iteration uses BLAS without letting it move a bit either:
+`_assign_labels` takes a label from a BLAS matmul only where an error
+bound proves the exact kernel picks the same centroid, and asks the
+exact kernel everywhere else, so BLAS's rounding and thread count decide
+only which samples fall back; `_cluster_sums` sums integral samples by
+matmul only where every partial sum is an exact integer, which any
+summation order gives, and otherwise by bincount in sample order.
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +49,7 @@ from .rng import SplitMix64
 INIT_KMEANSPP = "kmeanspp"
 INIT_RANDOM = "random"
 
-# Fixed regardless of worker count; changing it changes reduction order.
+# Changing it changes reduction order.
 CHUNK_SIZE = 4096
 
 
@@ -97,64 +101,55 @@ def _chunks(n: int):
 
 
 class _Kernel:
-    """The (N, B) samples of one call in fixed chunks, with at most one thread pool.
+    """The (N, B) samples of one call in fixed chunks, and one scratch buffer.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
     `sq_dists` fills a (B, k, m) prefix of a B * rows * CHUNK_SIZE scratch
-    buffer that each thread allocates once and reuses for every chunk it
-    handles. `norms` and `integral` are worked out once, on first use.
+    buffer that it reuses for every chunk. `peak`, `sq_norms` and what is
+    derived from them are worked out once, on first use.
     """
 
-    def __init__(self, x: np.ndarray, rows: int, workers: int = 1):
+    def __init__(self, x: np.ndarray, rows: int):
         self.x = x
         self.spans = _chunks(x.shape[0])
-        self._scratch_size = x.shape[1] * rows * min(CHUNK_SIZE, x.shape[0])
-        self._local = threading.local()
-        self._workers = workers if len(self.spans) > 1 else 1
-        self._pool = None
-
-    def __enter__(self):
-        if self._workers > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self._workers)
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def map(self, fn) -> list:
-        """fn(start, end) for every chunk; results in chunk order."""
-        if self._pool is None:
-            return [fn(s, e) for s, e in self.spans]
-        return list(self._pool.map(lambda span: fn(*span), self.spans))
+        self._scratch = np.empty(x.shape[1] * rows * min(CHUNK_SIZE, x.shape[0]))
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """|x| per sample, for the label step's error bound."""
-        norms = np.empty(self.x.shape[0])
+    def peak(self) -> float | None:
+        """max|x| if every sample is a finite integer, else None."""
+        peak = 0.0
         for s, e in self.spans:
             rows = self.x.T[:, s:e]
-            norms[s:e] = np.sqrt(np.einsum("ij,ij->j", rows, rows))
-        return norms
+            if not (np.trunc(rows) == rows).all():  # NaN fails here
+                return None
+            peak = max(peak, float(np.abs(rows).max()))
+        return peak if peak < np.inf else None
 
     @cached_property
     def integral(self) -> bool:
         """Whether every sample is an integer and N * max|x| <= 2^53, so
         that every partial sum of samples is exact, in any order."""
-        peak = 0.0
+        return self.peak is not None and self.x.shape[0] * int(self.peak) <= 2**53
+
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """|x|^2 per sample."""
+        sq_norms = np.empty(self.x.shape[0])
         for s, e in self.spans:
             rows = self.x.T[:, s:e]
-            if not (np.trunc(rows) == rows).all():  # NaN fails here
-                return False
-            peak = max(peak, float(np.abs(rows).max()))
-        return peak < np.inf and self.x.shape[0] * int(peak) <= 2**53
+            sq_norms[s:e] = np.einsum("ij,ij->j", rows, rows)
+        return sq_norms
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """|x| per sample, for the label step's error bound."""
+        return np.sqrt(self.sq_norms)
 
     def sq_dists(self, s: int, e: int, centroids: np.ndarray) -> np.ndarray:
         """(rows, e - s) squared distances of samples s:e to each centroid.
 
         Bit-equal to ((x - c) * (x - c)).sum(axis=-1) per sample; the
-        result is a view into this thread's scratch, valid until its
-        next call.
+        result is a view into the scratch buffer, valid until the next call.
         """
         return self.sq_dists_of(self.x.T[:, s:e], centroids)
 
@@ -164,11 +159,9 @@ class _Kernel:
         Every operation is elementwise along m, so a sample's distances
         have the same bits whichever columns it shares the call with.
         """
-        scratch = getattr(self._local, "scratch", None)
-        if scratch is None:
-            scratch = self._local.scratch = np.empty(self._scratch_size)
         # a contiguous prefix, so a call with few centroids or columns touches few pages
-        t = scratch[: rows.size * len(centroids)].reshape(len(rows), len(centroids), rows.shape[1])
+        t = self._scratch[: rows.size * len(centroids)].reshape(
+            len(rows), len(centroids), rows.shape[1])
         np.subtract(rows[:, None, :], centroids.T[:, :, None], out=t)
         np.multiply(t, t, out=t)
         _fold_bands(t, 0, t.shape[0])
@@ -218,12 +211,23 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
+    """Squared distance of every sample to `point`, with the exact kernel's bits.
+
+    The matvec path (see the module docstring) forms only integers of
+    magnitude at most 4 B peak^2, so they are exact; like a sum of squares,
+    its result is never -0.0.
+    """
+    peak = kern.peak
+    if (peak is not None and 4 * kern.x.shape[1] * int(peak) ** 2 <= 2**53
+            and (np.trunc(point) == point).all() and np.abs(point).max() <= peak):
+        out = point @ kern.x.T
+        out *= -2.0
+        out += kern.sq_norms
+        out += point @ point
+        return out
     out = np.empty(kern.x.shape[0])
-
-    def run(s, e):
+    for s, e in kern.spans:
         out[s:e] = kern.sq_dists(s, e, point[None, :])[0]
-
-    kern.map(run)
     return out
 
 
@@ -291,9 +295,13 @@ def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
 
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     total = 0.0
+    buf = np.empty((min(CHUNK_SIZE, x.shape[0]), x.shape[1]))  # summed row-major
     for s, e in _chunks(x.shape[0]):
-        diff = np.subtract(x[s:e], centroids[labels[s:e]], order="C")  # summed row-major
-        total += float((diff * diff).sum())
+        diff = buf[: e - s]
+        diff.T[...] = x.T[:, s:e]
+        diff -= centroids[labels[s:e]]
+        diff *= diff
+        total += float(diff.sum())
     return total
 
 
@@ -306,8 +314,7 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
     point duplicates a chosen centroid (zero total mass), the next index
     is drawn uniformly from the unchosen ones.
     """
-    with _Kernel(spectra.vectors, 1) as kern:
-        return _init_centroids(kern, params.k, params.init, params.seed)
+    return _init_centroids(_Kernel(spectra.vectors, 1), params.k, params.init, params.seed)
 
 
 def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
@@ -384,13 +391,15 @@ def kmeans_fit(
     sample index), and stops once the maximum centroid displacement drops
     to `tolerance` or `max_iterations` is reached. Restart r uses seed
     seed+r; the lowest-inertia restart wins, ties to the lowest r.
+
+    Runs on the calling thread; `workers` is accepted and changes nothing.
     """
     best = None  # _init_centroids rejects too few samples
-    with _Kernel(spectra.vectors, params.k, workers) as kern:
-        for restart in range(params.restarts):
-            model = _fit_once(kern, params, params.seed + restart)
-            if best is None or model.inertia < best.inertia:
-                best = model
+    kern = _Kernel(spectra.vectors, params.k)
+    for restart in range(params.restarts):
+        model = _fit_once(kern, params, params.seed + restart)
+        if best is None or model.inertia < best.inertia:
+            best = model
     return best
 
 

@@ -92,7 +92,7 @@ def render_segmentation(segmap: SegmentationMap, palette: np.ndarray) -> np.ndar
             f"palette has {len(palette) - 1} cluster colors, map needs {segmap.k}"
         )
     lut = palette[: segmap.k + 1].astype(np.uint8)
-    if len(np.unique(lut, axis=0)) != len(lut):
+    if len({tuple(c) for c in lut.tolist()}) != len(lut):  # np.unique would import numpy.ma
         raise ValueError("palette colors must be pairwise distinct")
     return lut[segmap.labels]
 

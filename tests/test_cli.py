@@ -15,6 +15,13 @@ from inkscan.cli import main
 from inkscan.segment import read_label_pgm
 
 
+def subprocess_env(**overrides) -> dict:
+    """This process's environment with this checkout's inkscan importable."""
+    src = str(Path(inkscan.__file__).resolve().parents[1])
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     out = tmp_path / "doc"
@@ -218,12 +225,10 @@ class TestSegment:
         assert main(["synth", "--out-dir", str(doc), "--width", "96", "--height", "96",
                      "--bands", "33", "--inks", "5", "--noise-sigma", "8",
                      "--coverage", "0.6", "--seed", "5"]) == 0
-        src = str(Path(inkscan.__file__).resolve().parents[1])
         render, labels = tmp_path / "r.ppm", tmp_path / "l.pgm"  # --json prints the paths
         runs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
             result = subprocess.run(
                 [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
                  "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
@@ -234,6 +239,47 @@ class TestSegment:
             runs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
         assert json.loads(runs[0][0])["pixels"] > 4096
         assert runs[0] == runs[1]
+
+    def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
+        """NumPy picks its SIMD loops at run time, and np.log's AVX-512 loop
+        rounds differently from its AVX2 baseline in some last bits. With the
+        AVX-512 targets switched off, `synth` and `segment` still write the
+        same bytes. This covers NumPy's AVX2 baseline on an AVX-512 host,
+        not a host without AVX2 or another architecture."""
+        doc, render, labels = tmp_path / "doc", tmp_path / "r.ppm", tmp_path / "l.pgm"
+        runs = []
+        for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR"):
+            env = subprocess_env(NPY_DISABLE_CPU_FEATURES=disabled)
+            if disabled:  # NumPy ignores names it does not know, so check that these took
+                probe = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
+                         "assert not any(f[name] for name in %r.split())" % disabled)
+                assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+            outputs = []
+            for args in (["synth", "--out-dir", str(doc), "--width", "64", "--height", "64",
+                          "--bands", "33", "--inks", "5", "--noise-sigma", "8",
+                          "--coverage", "0.6", "--seed", "5", "--json"],
+                         ["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
+                          "--seed", "0", "--restarts", "2", "--out-render", str(render),
+                          "--out-labels", str(labels), "--json"]):
+                result = subprocess.run([sys.executable, "-m", "inkscan", *args],
+                                        capture_output=True, env=env)
+                assert result.returncode == 0, result.stderr
+                outputs.append(result.stdout)
+            files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+            runs.append((outputs, {p: p.read_bytes() for p in files}))
+        assert len(runs[0][1]) == 33 + 5  # bands, manifest, truth, sidecar, render, labels
+        assert runs[0] == runs[1]
+
+    def test_segment_leaves_numpy_ma_unimported(self, synth_dir, tmp_path):
+        """np.unique imports numpy.ma, 15-18 ms a run that segment has no use for."""
+        check = ("import sys; from inkscan.cli import main; code = main(sys.argv[1:]); "
+                 "assert code == 0 and 'numpy.ma' not in sys.modules")
+        result = subprocess.run(
+            [sys.executable, "-c", check, "segment", str(synth_dir / "bands"), "--k", "3",
+             "--out-render", str(tmp_path / "r.ppm"), "--out-labels", str(tmp_path / "l.pgm")],
+            capture_output=True, env=subprocess_env(),
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_k1_single_ink_color(self, synth_dir, tmp_path, capsys):
         render = tmp_path / "k1.ppm"

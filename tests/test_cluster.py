@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from inkscan import cluster
+from inkscan.binarize import normalize_spectra
 from inkscan.cluster import (
     CHUNK_SIZE,
     INIT_KMEANSPP,
@@ -425,11 +426,11 @@ class TestKernel:
         for n in (1, 4095, 4096, 4097, 10000):
             x = gen.normal(size=(n, b)) * 37.3 + 11.1
             centroids = gen.normal(size=(3, b)) * 37.3
-            with _Kernel(x, 3) as kern:
-                for s, e in kern.spans:
-                    got = kern.sq_dists(s, e, centroids)
-                    want = broadcast_sq_dists(x[s:e], centroids).T
-                    assert np.array_equal(bits(got), bits(want)), (b, n, s)
+            kern = _Kernel(x, 3)
+            for s, e in kern.spans:
+                got = kern.sq_dists(s, e, centroids)
+                want = broadcast_sq_dists(x[s:e], centroids).T
+                assert np.array_equal(bits(got), bits(want)), (b, n, s)
 
     @pytest.mark.parametrize("b", [1, 7, 33, 129])
     def test_sq_dist_to_bit_equal_at_any_worker_count(self, b):
@@ -438,9 +439,9 @@ class TestKernel:
         point = x[17]
         diff = x - point
         want = (diff * diff).sum(axis=1)
-        for workers in (1, 2):
-            with _Kernel(x, 1, workers) as kern:
-                assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(want))
+        kern = _Kernel(x, 1)
+        for _ in range(2):  # the second pass reuses the scratch buffer
+            assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(want))
 
     def test_integer_ties_go_to_lowest_index(self, rng):
         points = rng.integers(-3, 4, size=(5000, 4)).astype(np.float64)
@@ -460,15 +461,13 @@ class TestKernel:
         x = gen.normal(size=(n, b)) * 19.7
         # the last centroid sits far away, so its cluster stays empty
         centroids = np.vstack([gen.normal(size=(4, b)) * 19.7, np.full((1, b), 1e6)])
-        for workers in (1, 2):
-            labels = np.empty(n, dtype=np.int32)
-            with _Kernel(x, 5, workers) as kern:
-                sums, counts = _lloyd_pass(kern, centroids, labels)
-            assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
-            want_sums, want_counts = chunked_accumulate(x, labels, 5)
-            assert np.array_equal(bits(sums), bits(want_sums))
-            assert np.array_equal(counts, want_counts)
-            assert counts[4] == 0
+        labels = np.empty(n, dtype=np.int32)
+        sums, counts = _lloyd_pass(_Kernel(x, 5), centroids, labels)
+        assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
+        want_sums, want_counts = chunked_accumulate(x, labels, 5)
+        assert np.array_equal(bits(sums), bits(want_sums))
+        assert np.array_equal(counts, want_counts)
+        assert counts[4] == 0
 
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
     def test_certified_labels_match_exact_oracles(self, b):
@@ -546,3 +545,71 @@ class TestKernel:
             assert repr(first.inertia) == repr(other.inertia)
             assert first.iterations == other.iterations
             assert first.converged == other.converged
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
+    @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "at bound",
+                                      "past bound", "far past bound"])
+    def test_matvec_distances_bit_equal_to_exact_kernel(self, b, case, monkeypatch):
+        """Integral samples and points with 4 B peak^2 <= 2^53 take one matvec,
+        with the exact kernel's bits; past that bound, or for a point that is
+        fractional or beyond the peak, the exact kernel itself runs. (Just
+        past the bound each formula still rounds only its last addition, so
+        the bits agree there; far past it, a matvec's would not.)"""
+        gen = np.random.default_rng(b)
+        n = CHUNK_SIZE + 1
+        if case == "8-bit":
+            x = gen.integers(0, 256, size=(n, b)).astype(np.float64)
+        elif case == "negative":
+            x = gen.integers(-1000, 1001, size=(n, b)).astype(np.float64)
+        elif case == "negative zero":
+            x = gen.integers(-2, 3, size=(n, b)).astype(np.float64)
+            x[x == 0] = -0.0
+        elif case == "far past bound":
+            x = gen.integers(-2**40, 2**40, size=(n, b)).astype(np.float64)
+        else:
+            # rows of either sign near +-peak: opposite rows lie about 4 B peak^2 apart
+            peak = math.isqrt(2**53 // (4 * b)) + (case == "past bound")
+            sign = gen.choice([-1.0, 1.0], size=(n, 1))
+            x = sign * (peak - gen.integers(0, 4, size=(n, b)))
+            x[0] = peak
+        kern = _Kernel(make_spectrum_set(x).vectors, 1)  # band-major, as a fit reads it
+        top = np.abs(x).max()
+        points = [np.zeros(b), np.full(b, -0.0), x[0], x[n - 1], -x[0],  # matvec if in bound
+                  x[0] + 0.5, np.full(b, top + 1)]  # always the exact kernel
+        want = [np.concatenate([kern.sq_dists(s, e, p[None, :])[0].copy()
+                                for s, e in kern.spans]) for p in points]
+        calls = []
+        sq_dists = _Kernel.sq_dists
+        monkeypatch.setattr(_Kernel, "sq_dists",
+                            lambda self, *args: calls.append(1) or sq_dists(self, *args))
+        for i, (point, w) in enumerate(zip(points, want)):
+            calls.clear()
+            assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(w)), i
+            assert len(calls) == (len(kern.spans) if "past" in case or i >= 5 else 0), i
+
+    def test_kmeanspp_init_takes_no_exact_pass_on_8bit_samples(self, monkeypatch):
+        """The matvec path cannot silently vanish: on 8-bit samples k-means++
+        init calls the exact kernel never, on unit-length rows once per chunk
+        and pick."""
+        gen = np.random.default_rng(3)
+        centers = gen.integers(0, 256, size=(5, 33))
+        x = centers[gen.integers(0, 5, size=10000)] + gen.integers(-8, 9, size=(10000, 33))
+        spectra = make_spectrum_set(np.clip(x, 0, 255))
+        calls, init_calls = [], []
+        sq_dists, init_centroids = _Kernel.sq_dists, cluster._init_centroids
+
+        def spy(kern, *args):
+            before = len(calls)
+            centroids = init_centroids(kern, *args)
+            init_calls.append(len(calls) - before)
+            return centroids
+
+        monkeypatch.setattr(_Kernel, "sq_dists",
+                            lambda self, *args: calls.append(1) or sq_dists(self, *args))
+        monkeypatch.setattr(cluster, "_init_centroids", spy)
+        params = KMeansParams(k=5, seed=0, restarts=2)
+        kmeans_fit(spectra, params)
+        assert init_calls == [0, 0]
+        init_calls.clear()
+        kmeans_fit(normalize_spectra(spectra, "unit-length"), params)
+        assert init_calls == [5 * 3, 5 * 3]  # 5 picks x 3 chunks

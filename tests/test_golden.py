@@ -242,10 +242,15 @@ def test_synth_sidecar_and_json_pinned(pages, tmp_path):
 def test_stream_blocks_pinned():
     """The u64 pin is exact integer arithmetic and holds on any host.
 
-    The normal_block pin is specific to the AVX-512 host it was taken on:
-    NumPy's np.log dispatches on the CPU's SIMD support and may round
-    differently elsewhere. `test_box_muller_uniforms_pinned` pins its
-    inputs exactly, which tells a host difference from a code change.
+    The normal_block pin was taken on an AVX-512 host. NumPy's np.log
+    dispatches on the CPU's SIMD support, and its AVX-512 loop rounds
+    some inputs differently from the AVX2 baseline; this pin and the whole
+    suite also passed with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+    AVX512_SPR", and `test_bytes_do_not_depend_on_simd_dispatch` compares
+    every output byte under both. That covers NumPy's AVX2 baseline only,
+    not a host without AVX2 or another architecture.
+    `test_box_muller_uniforms_pinned` pins its inputs exactly, which tells
+    a host difference from a code change.
     """
     assert u64_block(1, 0, 8).astype("<u8").tobytes().hex() == (
         "c15c0289ec2d0a9167ec8e65a18debbe5e5532fbeea293f80bc942ee9086c171"
