@@ -116,13 +116,13 @@ class _Kernel:
 
     @cached_property
     def peak(self) -> float | None:
-        """max|x| if every sample is a finite integer, else None."""
-        peak = 0.0
-        for s, e in self.spans:
-            rows = self.x.T[:, s:e]
-            if not (np.trunc(rows) == rows).all():  # NaN fails here
+        """max|x| if every sample is a finite integer, else None; one pass a band row."""
+        x_t = self.x.T
+        whole, same = np.empty(x_t.shape[1]), np.empty(x_t.shape[1], dtype=bool)
+        for row in x_t:
+            if not np.equal(np.trunc(row, out=whole), row, out=same).all():  # NaN fails
                 return None
-            peak = max(peak, float(np.abs(rows).max()))
+        peak = max(0.0, float(x_t.max(initial=0.0)), -float(x_t.min(initial=0.0)))
         return peak if peak < np.inf else None
 
     @cached_property

@@ -18,7 +18,8 @@ makes the stream counter-based: `u64_block` evaluates any window of it with
 NumPy uint64 arithmetic and is bit-identical to the scalar class. In the
 same way `normal_block` evaluates any window of its Box-Muller block, which
 lets `synth` draw its noise on one thread per CPU with the same bytes as
-on one thread.
+on one thread. `polar_block` stops before the float64 cosine, so that
+`synth` can take a float32 cosine where a bound proves its bytes hold.
 """
 
 import math
@@ -106,16 +107,14 @@ def u64_block(seed: int, start: int, count: int) -> np.ndarray:
     return z
 
 
-def normal_block(seed: int, start: int, count: int,
-                 lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Draws lo:hi (default all) of a block of `count` standard normals, via Box-Muller.
+def polar_block(seed: int, start: int, count: int,
+                lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Box-Muller (radius, angle) of draws lo:hi (default all) of a block of `count`.
 
     The block consumes stream positions [start, start + 2*count): draw i
-    takes its radius from position start+i and its angle from
-    start+count+i. A window computes only its own draws and is bit-equal
-    to the same slice of the whole block, so callers may split a block
-    into tiles and draw them on any number of threads. Callers advance
-    `start` by 2*count.
+    takes its radius sqrt(-2 ln u1), u1 in (0, 1], from position start+i
+    and its angle 2 pi u2, u2 in [0, 1), from start+count+i. Draw i is
+    radius[i] * cos(angle[i]) (see `normal_block`).
     """
     hi = count if hi is None else hi
     if not 0 <= lo <= hi <= count:
@@ -130,7 +129,19 @@ def normal_block(seed: int, start: int, count: int,
     np.sqrt(radius, out=radius)
     angle *= _DOUBLE_SCALE
     angle *= 2.0 * math.pi
+    return radius, angle
+
+
+def normal_block(seed: int, start: int, count: int,
+                 lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Draws lo:hi (default all) of a block of `count` standard normals, via Box-Muller.
+
+    Each draw is radius * cos(angle) from `polar_block`, in float64. A
+    window computes only its own draws and is bit-equal to the same slice
+    of the whole block, so callers may split a block into tiles and draw
+    them on any number of threads. Callers advance `start` by 2*count.
+    """
+    radius, angle = polar_block(seed, start, count, lo, hi)
     np.cos(angle, out=angle)
     radius *= angle
     return radius
-

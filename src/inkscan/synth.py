@@ -11,7 +11,9 @@ All randomness derives from SynthSpec.seed through three child streams
 drawn in a fixed order (signatures, layout, noise). The noise is drawn in
 tiles of one band by 65,536 pixels, on one thread per CPU; each tile
 reads its own window of the band's counter-based stream, so the page's
-bytes do not depend on the thread count.
+bytes do not depend on the thread count. A draw's cosine is float32
+where a bound proves the byte is the one `rng.normal_block`'s float64
+cosine gives, and float64 elsewhere (`_floor_noisy`).
 """
 
 import itertools
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from .hsi_cube import HyperCube
-from .rng import SplitMix64, normal_block
+from .rng import SplitMix64, polar_block
 from .segment import SegmentationMap
 
 # Auto-generated signatures keep this floor even at zero noise, so that
@@ -34,6 +36,9 @@ _MAX_EXHAUSTIVE_K = 8
 
 # pixels per noise task; a whole 512x512 band per task raised synth's peak RSS
 _TILE = 65_536
+
+_RADIUS_MAX = 8.58  # R in _floor_noisy; Box-Muller radii stay below sqrt(-2 ln 2^-53)
+_COS32_ERR = 2.0 ** -20  # E in _floor_noisy
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +191,7 @@ def generate_signatures(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
             return arr[chosen]
     raise InvalidSpec(
         f"could not generate {k} signatures with pairwise mean "
-        f"separation >= {spec.separation:.1f} (noise_sigma too large?)"
+        f"separation >= {spec.separation:.6g} (noise_sigma too large?)"
     )
 
 
@@ -263,6 +268,47 @@ def _layout_truth(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
     return truth
 
 
+def _exact_normals(radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """`normal_block`'s float64 draws, for the gathered draws left unsure."""
+    return radius * np.cos(angle)
+
+
+@np.errstate(invalid="ignore")  # an infinite sum's check is NaN, which counts as unsure
+def _floor_noisy(plane: np.ndarray, sigma: float,
+                 radius: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """floor(plane + sigma * normal + 0.5), normal being `normal_block`'s draw.
+
+    The float64 cosine (scalar libm) is half of the noise time, so each
+    draw first takes c32, a float32 cosine, and keeps it where a bound
+    proves that the float64 cosine c floors the same. |c32 - c| < 2^-21:
+    float32 moves the angle (< 2 pi) by at most 2^-22, NumPy tests its
+    float32 cos to 2 ULPs (2^-23), and c is within 2^-52 of cos. With
+    E = 2^-20 and r < R = 8.58, the noise terms differ by at most sigma R E.
+    Each sum, ((r c) sigma + plane) + 0.5, rounds four times by at most
+    2^-53 of M = 256 + sigma R (plane <= 255), and the check by 2^-52:
+    below 2^-48 M in all. So where the fast sum t lies farther than
+    margin = sigma R E + 2^-48 M from every integer, |frac(t) - 0.5| <
+    0.5 - margin, the exact floor is the same. Other draws (a NaN check;
+    every draw once margin >= 0.5) are recomputed exactly, gathered:
+    float64 np.cos gives them the bits it gives on the whole window.
+    """
+    t = np.cos(angle.astype(np.float32)).astype(np.float64)
+    t *= radius
+    t *= sigma
+    t += plane
+    t += 0.5
+    out = np.floor(t)
+    t -= out
+    t -= 0.5
+    np.abs(t, out=t)
+    margin = sigma * _RADIUS_MAX * _COS32_ERR + 2.0 ** -48 * (256.0 + sigma * _RADIUS_MAX)
+    unsure = np.flatnonzero(~(t < 0.5 - margin))
+    if unsure.size:
+        noisy = plane[unsure] + sigma * _exact_normals(radius[unsure], angle[unsure])
+        out[unsure] = np.floor(noisy + 0.5)
+    return out
+
+
 def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
     """Generate (cube, truth map), fully determined by spec.seed.
 
@@ -299,8 +345,11 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
         b, lo, hi = task
         plane = lut[b].take(labels[lo:hi])
         if spec.noise_sigma > 0.0:
-            plane += spec.noise_sigma * normal_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
-        cube[b, lo:hi] = np.clip(np.floor(plane + 0.5), 0.0, 255.0)
+            polar = polar_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
+            plane = _floor_noisy(plane, spec.noise_sigma, *polar)
+        else:
+            plane = np.floor(plane + 0.5)
+        cube[b, lo:hi] = np.clip(plane, 0.0, 255.0)
 
     workers = min(os.cpu_count() or 1, len(tasks))
     if workers == 1:

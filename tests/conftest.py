@@ -1,7 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import inkscan
 from inkscan.binarize import SpectrumSet
+
+# NumPy's AVX-512 targets; with them off, NumPy runs its AVX2 baseline loops
+AVX512_TARGETS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def subprocess_env(**overrides) -> dict:
+    """This process's environment with this checkout's inkscan importable."""
+    src = str(Path(inkscan.__file__).resolve().parents[1])
+    return {**os.environ, **overrides,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def avx512_off_env() -> dict:
+    """`subprocess_env` with NumPy's AVX-512 loops off, checked to have taken:
+    NumPy ignores names it does not know."""
+    env = subprocess_env(NPY_DISABLE_CPU_FEATURES=AVX512_TARGETS)
+    probe = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
+             "assert not any(f[name] for name in %r.split())" % AVX512_TARGETS)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    return env
 
 
 def make_spectrum_set(vectors) -> SpectrumSet:

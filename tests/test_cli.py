@@ -1,25 +1,16 @@
 """End-to-end CLI behavior: exit-code families, determinism, composition."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import inkscan
+from conftest import avx512_off_env, subprocess_env
 from inkscan import netpbm, synth
 from inkscan.cli import main
 from inkscan.segment import read_label_pgm
-
-
-def subprocess_env(**overrides) -> dict:
-    """This process's environment with this checkout's inkscan importable."""
-    src = str(Path(inkscan.__file__).resolve().parents[1])
-    return {**os.environ, **overrides,
-            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture
@@ -248,12 +239,7 @@ class TestSegment:
         not a host without AVX2 or another architecture."""
         doc, render, labels = tmp_path / "doc", tmp_path / "r.ppm", tmp_path / "l.pgm"
         runs = []
-        for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR"):
-            env = subprocess_env(NPY_DISABLE_CPU_FEATURES=disabled)
-            if disabled:  # NumPy ignores names it does not know, so check that these took
-                probe = ("from numpy._core._multiarray_umath import __cpu_features__ as f; "
-                         "assert not any(f[name] for name in %r.split())" % disabled)
-                assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        for env in (subprocess_env(NPY_DISABLE_CPU_FEATURES=""), avx512_off_env()):
             outputs = []
             for args in (["synth", "--out-dir", str(doc), "--width", "64", "--height", "64",
                           "--bands", "33", "--inks", "5", "--noise-sigma", "8",
@@ -407,6 +393,15 @@ class TestSynth:
         assert main(["synth", "--out-dir", str(out), f"--noise-sigma={sigma}"]) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unreachable_separation_message_is_short(self, tmp_path, capsys):
+        """The target separation, 8 sigma, is printed compactly, not as 301 digits."""
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--width", "32", "--height", "32",
+                     "--bands", "4", "--inks", "2", "--noise-sigma", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 160, err
+        assert "separation >= 8e+300" in err
 
     @pytest.mark.parametrize("message", [
         "Unable to allocate 32.7 TiB for an array with shape (3000000, 3000000)", ""])

@@ -546,6 +546,44 @@ class TestKernel:
             assert first.iterations == other.iterations
             assert first.converged == other.converged
 
+    @pytest.mark.parametrize("case", ["8-bit", "negative", "fractional", "nan", "inf",
+                                      "-inf", "negative zero", "all zero", "huge"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_peak_matches_per_chunk_scan(self, case, order):
+        """`peak` against its first definition: per chunk, every sample equals
+        its trunc, and max|x| is finite."""
+        def oracle(x):
+            peak = 0.0
+            for s in range(0, x.shape[0], CHUNK_SIZE):
+                rows = x[s:s + CHUNK_SIZE]
+                if not (np.trunc(rows) == rows).all():
+                    return None
+                peak = max(peak, float(np.abs(rows).max()))
+            return peak if peak < np.inf else None
+
+        gen = np.random.default_rng(len(case))
+        for n, b in ((1, 1), (5, 3), (CHUNK_SIZE + 7, 33), (2 * CHUNK_SIZE, 2)):
+            x = gen.integers(0, 256, size=(n, b)).astype(np.float64)
+            spot = (gen.integers(n), gen.integers(b))
+            if case == "negative":
+                x -= 300.0
+            elif case == "fractional":
+                x[spot] += 0.5
+            elif case in ("nan", "inf", "-inf"):
+                x[spot] = float(case)
+            elif case == "negative zero":
+                x = -np.zeros((n, b))
+            elif case == "all zero":
+                x = np.zeros((n, b))
+            elif case == "huge":
+                x[spot] = -2.0**80
+            x = np.asarray(x, order=order)
+            got, want = _Kernel(x, 1).peak, oracle(x)
+            assert (got is None) == (want is None), (case, n, b)
+            if want is not None:
+                assert bits(got) == bits(want), (case, n, b)
+        assert (got is None) == (case in ("fractional", "nan", "inf", "-inf"))
+
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "at bound",
                                       "past bound", "far past bound"])

@@ -2,11 +2,15 @@
 vectorized form must agree with the scalar one bit for bit."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from inkscan.rng import SplitMix64, normal_block, u64_block
+from conftest import avx512_off_env
+from inkscan.rng import SplitMix64, normal_block, polar_block, u64_block
 
 # First outputs of the public-domain SplitMix64 reference for these seeds.
 REFERENCE_STREAMS = {
@@ -105,3 +109,58 @@ def test_normal_block_window_offsets_compose():
     for lo, hi in ((-1, 3), (4, 3), (0, n + 1)):
         with pytest.raises(ValueError):
             normal_block(21, 0, n, lo, hi)
+
+
+def test_polar_block_is_normal_blocks_radius_and_angle():
+    for lo, hi in ((0, 300), (17, 18), (5, 5)):
+        radius, angle = polar_block(9, 40, 300, lo, hi)
+        assert (radius * np.cos(angle)).tobytes() == normal_block(9, 40, 300, lo, hi).tobytes()
+        assert (radius < 8.58).all() and (angle >= 0).all() and (angle < 2 * math.pi).all()
+    with pytest.raises(ValueError):
+        polar_block(9, 0, 3, 2, 1)
+
+
+def stream_angles(count: int, window: int = 1 << 18):
+    """Box-Muller angles of one seed's block, a window at a time."""
+    for lo in range(0, count, window):
+        yield polar_block(77, 0, count, lo, min(lo + window, count))[1]
+
+
+def check_float32_cos_bound():
+    """|cos(float32 a) - cos(a)| <= 2^-21 on Box-Muller angles, a dense grid
+    of [0, 2 pi) and its quarter points: half the E = 2^-20 on which synth's
+    margin for keeping a float32 cosine's byte is built."""
+    grid = np.linspace(0.0, 2 * math.pi, 1 << 20, endpoint=False)
+    edges = np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
+                      np.nextafter(2 * math.pi, 0.0)])
+    worst = 0.0
+    for angle in (*stream_angles(1 << 22), grid, edges):
+        c32 = np.cos(angle.astype(np.float32)).astype(np.float64)
+        worst = max(worst, float(np.abs(c32 - np.cos(angle)).max()))
+    assert worst <= 2.0**-21, worst
+
+
+def check_gathered_cos_bits():
+    """synth recomputes its unsure draws with float64 cos on gathered
+    angles, so those must have the bits of cos on the whole window."""
+    gen = np.random.default_rng(3)
+    for angle in stream_angles(1 << 20, 65_536):
+        whole = np.cos(angle)
+        for size in (1, 3, 8, 15, 16, 17, 64, 1127, angle.size // 2):
+            picked = np.sort(gen.choice(angle.size, size, replace=False))
+            assert np.cos(angle[picked]).tobytes() == whole[picked].tobytes(), size
+
+
+@pytest.mark.parametrize("check", [check_float32_cos_bound, check_gathered_cos_bits])
+@pytest.mark.parametrize("dispatch", ["native", "avx512 off"])
+def test_cosine_facts_synth_relies_on(check, dispatch):
+    """In process, and with NumPy's AVX-512 loops off (float32 cos has
+    loops of its own for each target)."""
+    if dispatch == "native":
+        check()
+        return
+    code = ("import sys; sys.path.insert(0, %r); import test_rng; test_rng.%s()"
+            % (str(Path(__file__).parent), check.__name__))
+    result = subprocess.run([sys.executable, "-c", code], env=avx512_off_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

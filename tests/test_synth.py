@@ -11,7 +11,7 @@ from inkscan.cluster import KMeansParams, kmeans_fit
 from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from inkscan.hsi_cube import reference_image
 from inkscan import synth
-from inkscan.rng import SplitMix64, normal_block
+from inkscan.rng import SplitMix64, normal_block, polar_block
 from inkscan.segment import SegmentationMap, build_label_map
 from inkscan.synth import (
     EvalReport,
@@ -229,6 +229,61 @@ class TestTiledNoise:
         cube, truth = synth_document(spec)
         expected = whole_band_reference(spec, truth.labels)
         assert cube.data.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def spy_exact(monkeypatch):
+        """Sizes of the draws that `synth` recomputes with the float64 cosine."""
+        sizes, exact = [], synth._exact_normals
+
+        def spy(radius, angle):
+            sizes.append(radius.size)
+            return exact(radius, angle)
+        monkeypatch.setattr(synth, "_exact_normals", spy)
+        return sizes
+
+    def test_float32_path_falls_back_near_rounding_edges(self, monkeypatch):
+        spec = SynthSpec(width=300, height=257, bands=5, ink_count=3, noise_sigma=8.0,
+                         coverage=0.3, seed=3)
+        exact = self.spy_exact(monkeypatch)
+        cube, truth = synth_document(spec)
+        assert 0 < sum(exact) < 5 * 300 * 257 // 1000
+        assert cube.data.tobytes() == whole_band_reference(spec, truth.labels).tobytes()
+
+    # 1e6: the margin exceeds 1/2; 1.7e308: sigma * r overflows to +-inf, so the
+    # check itself is NaN
+    @pytest.mark.parametrize("sigma", [1e6, 1e300, 1.7e308])
+    def test_every_draw_is_exact_once_the_margin_covers_a_step(self, monkeypatch, sigma):
+        spec = SynthSpec(width=300, height=230, bands=2, ink_count=2, noise_sigma=sigma,
+                         ink_signatures=np.array([[0.0, 255.0], [127.5, 3.0]]),
+                         coverage=0.3, background_level=200, seed=4)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 1)  # keep errstate on this thread
+        exact = self.spy_exact(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cube, truth = synth_document(spec)
+            expected = whole_band_reference(spec, truth.labels)
+        assert sum(exact) == 2 * 300 * 230
+        assert cube.data.tobytes() == expected.tobytes()
+
+    def test_planes_on_rounding_edges_take_the_exact_floor(self):
+        """Each plane puts the exact and the float32 sum on either side of 101,
+        so every draw whose two cosines differ must be recomputed."""
+        sigma, count = 8.0, 200_000
+        radius, angle = polar_block(31, 0, count)
+        normal = normal_block(31, 0, count)
+        fast = radius * np.cos(angle.astype(np.float32)).astype(np.float64)
+        plane = 100.5 - sigma * (normal + fast) / 2
+        want = np.floor(plane + sigma * normal + 0.5)
+        fast_floor = np.floor(plane + sigma * fast + 0.5)
+        assert (fast_floor != want).sum() > count // 10
+        assert synth._floor_noisy(plane, sigma, radius, angle).tobytes() == want.tobytes()
+
+    def test_non_finite_checks_fall_back(self, monkeypatch):
+        exact = self.spy_exact(monkeypatch)
+        plane = np.array([np.inf, np.nan, -np.inf, 3.0])
+        radius, angle = np.array([1.0, 1.0, 1.0, 0.0]), np.full(4, 0.5)
+        got = synth._floor_noisy(plane, 1.0, radius, angle)
+        assert exact == [3]
+        assert got.tobytes() == np.floor(plane + radius * np.cos(angle) + 0.5).tobytes()
 
     def test_row_block_distances_match_the_3d_mean(self, rng):
         # one block, several blocks, and a partial last block; the oracle
