@@ -11,12 +11,11 @@ calling thread:
   wins, ties to the lowest restart index.
 
 Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
-`_Kernel.sq_dists`, has the bits of NumPy's row sum
+`_sq_dists`, has the bits of NumPy's row sum
 ((x - c) * (x - c)).sum(axis=-1), computed band-major as `SpectrumSet`
-stores the samples: a chunk's B band rows minus the k centroids fill a
-(B, k, chunk) prefix of one scratch buffer (5.4 MB at B = 33, k = 5),
-squared in place, and the band planes are added in NumPy's pairwise
-row-sum order (`_fold_bands`).
+stores the samples: B band rows minus the k centroids make one (B, k, m)
+block per call, squared in place, and the band planes are added in
+NumPy's pairwise row-sum order (`_fold_bands`).
 
 k-means++ init and the empty-cluster reseed need every sample's distance
 to one point, and those distances feed sampling sums, so they must have
@@ -25,7 +24,8 @@ the exact kernel's bits. `_sq_dist_to` takes them from one matvec,
 at most M (`_Kernel.peak`) and 4 B M^2 <= 2^53: every term and partial
 sum is then an exact integer, whatever order BLAS sums in. Any other
 point (real-valued samples, a reseed from a centroid mean) takes the
-exact kernel.
+exact kernel. k-means++ makes one such pass per pick after the first,
+k - 1 in all: nothing reads the distances to the last pick.
 
 A Lloyd iteration uses BLAS without letting it move a bit either:
 `_assign_labels` takes a label from a BLAS matmul only where an error
@@ -101,18 +101,18 @@ def _chunks(n: int):
 
 
 class _Kernel:
-    """The (N, B) samples of one call in fixed chunks, and one scratch buffer.
+    """The (N, B) samples of one call in fixed chunks, and facts about them.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `sq_dists` fills a (B, k, m) prefix of a B * rows * CHUNK_SIZE scratch
-    buffer that it reuses for every chunk. `peak`, `sq_norms` and what is
-    derived from them are worked out once, on first use.
+    `peak`, `sq_norms` and what is derived from them are worked out once,
+    on first use.
     """
 
-    def __init__(self, x: np.ndarray, rows: int):
+    def __init__(self, x: np.ndarray):
+        if not x.shape[1]:
+            raise DimensionMismatch("samples have no bands")
         self.x = x
         self.spans = _chunks(x.shape[0])
-        self._scratch = np.empty(x.shape[1] * rows * min(CHUNK_SIZE, x.shape[0]))
 
     @cached_property
     def peak(self) -> float | None:
@@ -145,27 +145,18 @@ class _Kernel:
         """|x| per sample, for the label step's error bound."""
         return np.sqrt(self.sq_norms)
 
-    def sq_dists(self, s: int, e: int, centroids: np.ndarray) -> np.ndarray:
-        """(rows, e - s) squared distances of samples s:e to each centroid.
 
-        Bit-equal to ((x - c) * (x - c)).sum(axis=-1) per sample; the
-        result is a view into the scratch buffer, valid until the next call.
-        """
-        return self.sq_dists_of(self.x.T[:, s:e], centroids)
+def _sq_dists(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(k, m) squared distances of the samples in (B, m) band rows to each centroid.
 
-    def sq_dists_of(self, rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """`sq_dists` for any (B, m) band rows, m <= CHUNK_SIZE.
-
-        Every operation is elementwise along m, so a sample's distances
-        have the same bits whichever columns it shares the call with.
-        """
-        # a contiguous prefix, so a call with few centroids or columns touches few pages
-        t = self._scratch[: rows.size * len(centroids)].reshape(
-            len(rows), len(centroids), rows.shape[1])
-        np.subtract(rows[:, None, :], centroids.T[:, :, None], out=t)
-        np.multiply(t, t, out=t)
-        _fold_bands(t, 0, t.shape[0])
-        return t[0]
+    Bit-equal to ((x - c) * (x - c)).sum(axis=-1) per sample. Every
+    operation is elementwise along m, so a sample's distances have the
+    same bits whichever columns it shares the call with.
+    """
+    t = rows[:, None, :] - centroids.T[:, :, None]
+    t *= t
+    _fold_bands(t, 0, len(t))
+    return t[0]
 
 
 def _fold_bands(t: np.ndarray, lo: int, n: int) -> None:
@@ -227,7 +218,7 @@ def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
         return out
     out = np.empty(kern.x.shape[0])
     for s, e in kern.spans:
-        out[s:e] = kern.sq_dists(s, e, point[None, :])[0]
+        out[s:e] = _sq_dists(kern.x.T[:, s:e], point[None, :])[0]
     return out
 
 
@@ -236,7 +227,7 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
     """Nearest centroid per sample into `labels`; exact ties to the lowest index.
 
     A chunk's scores come from one matmul, d = |c|^2 - 2 c.x, the squared
-    distance less |x|^2. d + |x|^2 and the exact `sq_dists` value are both
+    distance less |x|^2. d + |x|^2 and the exact `_sq_dists` value are both
     within E = gamma_(B+2) (|x| + max|c|)^2 of the true distance, so where
     only one centroid scores within 4E of a sample's lowest score, it is
     the exact kernel's nearest, by a strict margin. The margin used is
@@ -260,7 +251,7 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
         best += (kern.norms[s:e] + c_max) ** 2 * scale + tiny
         unsure = np.flatnonzero((d <= best).sum(axis=0) != 1)
         if unsure.size:
-            lab[unsure] = _nearest(kern.sq_dists_of(kern.x.T[:, s + unsure], centroids))
+            lab[unsure] = _nearest(_sq_dists(kern.x.T[:, s + unsure], centroids))
         labels[s:e] = lab
 
 
@@ -287,12 +278,6 @@ def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
     return sums.T, np.bincount(labels, minlength=k)
 
 
-def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray):
-    """Assign every sample (into `labels`); return per-cluster sums and counts."""
-    _assign_labels(kern, centroids, labels)
-    return _cluster_sums(kern, labels, centroids.shape[0])
-
-
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     total = 0.0
     buf = np.empty((min(CHUNK_SIZE, x.shape[0]), x.shape[1]))  # summed row-major
@@ -314,7 +299,7 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
     point duplicates a chosen centroid (zero total mass), the next index
     is drawn uniformly from the unchosen ones.
     """
-    return _init_centroids(_Kernel(spectra.vectors, 1), params.k, params.init, params.seed)
+    return _init_centroids(_Kernel(spectra.vectors), params.k, params.init, params.seed)
 
 
 def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
@@ -329,8 +314,9 @@ def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
         return x[idx].copy()
 
     chosen = [rng.below(n)]
-    d2 = _sq_dist_to(kern, x[chosen[0]])
+    d2 = np.full(n, np.inf)
     while len(chosen) < k:
+        np.minimum(d2, _sq_dist_to(kern, x[chosen[-1]]), out=d2)
         total = float(d2.sum())
         if total > 0.0:
             target = rng.next_double() * total
@@ -341,7 +327,6 @@ def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
             remaining = sorted(set(range(n)) - set(chosen))
             next_i = remaining[rng.below(len(remaining))]
         chosen.append(next_i)
-        d2 = np.minimum(d2, _sq_dist_to(kern, x[next_i]))
     return x[chosen].copy()
 
 
@@ -359,10 +344,10 @@ def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.
 
     Runs on the calling thread; `workers` is accepted and changes nothing.
     """
-    x = spectra.vectors
-    centroids = _as_centroids(centroids, x)
-    labels = np.empty(x.shape[0], dtype=np.int32)
-    _assign_labels(_Kernel(x, centroids.shape[0]), centroids, labels)
+    kern = _Kernel(spectra.vectors)
+    centroids = _as_centroids(centroids, kern.x)
+    labels = np.empty(kern.x.shape[0], dtype=np.int32)
+    _assign_labels(kern, centroids, labels)
     return labels
 
 
@@ -395,7 +380,7 @@ def kmeans_fit(
     Runs on the calling thread; `workers` is accepted and changes nothing.
     """
     best = None  # _init_centroids rejects too few samples
-    kern = _Kernel(spectra.vectors, params.k)
+    kern = _Kernel(spectra.vectors)
     for restart in range(params.restarts):
         model = _fit_once(kern, params, params.seed + restart)
         if best is None or model.inertia < best.inertia:
@@ -412,7 +397,8 @@ def _fit_once(kern, params, seed):
     iterations = 0
 
     for iterations in range(1, params.max_iterations + 1):
-        sums, counts = _lloyd_pass(kern, centroids, labels)
+        _assign_labels(kern, centroids, labels)
+        sums, counts = _cluster_sums(kern, labels, params.k)
 
         new_centroids = np.empty_like(centroids)
         occupied = counts > 0

@@ -9,9 +9,10 @@ truth map doubles as a pixel-precise oracle.
 
 All randomness derives from SynthSpec.seed through three child streams
 drawn in a fixed order (signatures, layout, noise). The noise is drawn in
-tiles of one band by 65,536 pixels, on one thread per CPU; each tile
-reads its own window of the band's counter-based stream, so the page's
-bytes do not depend on the thread count. A draw's cosine is float32
+tiles of one band by 65,536 pixels, on one thread per CPU under the
+caller's `np.errstate`; each tile reads its own window of the band's
+counter-based stream, so the page's bytes do not depend on the thread
+count. A draw's cosine is float32
 where a bound proves the byte is the one `rng.normal_block`'s float64
 cosine gives, and float64 elsewhere (`_floor_noisy`).
 """
@@ -341,23 +342,21 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
     tasks = [(b, lo, min(lo + _TILE, pixels))
              for b in range(spec.bands) for lo in range(0, pixels, _TILE)]
 
+    errstate = np.geterr()  # pool threads do not inherit the caller's
+
     def fill(task):
         b, lo, hi = task
-        plane = lut[b].take(labels[lo:hi])
-        if spec.noise_sigma > 0.0:
-            polar = polar_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
-            plane = _floor_noisy(plane, spec.noise_sigma, *polar)
-        else:
-            plane = np.floor(plane + 0.5)
-        cube[b, lo:hi] = np.clip(plane, 0.0, 255.0)
+        with np.errstate(**errstate):
+            plane = lut[b].take(labels[lo:hi])
+            if spec.noise_sigma > 0.0:
+                polar = polar_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
+                plane = _floor_noisy(plane, spec.noise_sigma, *polar)
+            else:
+                plane = np.floor(plane + 0.5)
+            cube[b, lo:hi] = np.clip(plane, 0.0, 255.0)
 
-    workers = min(os.cpu_count() or 1, len(tasks))
-    if workers == 1:
-        for task in tasks:
-            fill(task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, tasks))
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(tasks))) as pool:
+        list(pool.map(fill, tasks))
     cube = cube.reshape(spec.bands, spec.height, spec.width)
     return HyperCube(cube), SegmentationMap(truth, spec.ink_count)
 

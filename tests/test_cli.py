@@ -473,7 +473,7 @@ class TestUsage:
         # numpy is the only declared runtime dependency
         result = subprocess.run(
             [sys.executable, "-c", "import sys, inkscan.cli; print(*sys.modules)"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=subprocess_env(),
         )
         loaded = {name.split(".")[0] for name in result.stdout.split()}
         assert "numpy" in loaded
@@ -484,7 +484,7 @@ class TestUsage:
             [sys.executable, "-m", "inkscan", "synth", "--out-dir",
              str(tmp_path / "d"), "--width", "16", "--height", "12", "--bands", "2",
              "--inks", "2", "--coverage", "0.25", "--seed", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "truth.pgm").exists()

@@ -16,35 +16,37 @@ from inkscan.cluster import (
     INIT_RANDOM,
     KMeansParams,
     _Kernel,
+    _assign_labels,
     _cluster_sums,
-    _lloyd_pass,
     _sq_dist_to,
+    _sq_dists,
     assign,
     inertia,
     kmeans_fit,
     kmeans_init,
 )
 from inkscan.errors import DimensionMismatch, InvalidSpec, TooFewSamples
+from inkscan.rng import SplitMix64
 from conftest import make_spectrum_set
 
 
 def lloyd_trace(spectra, params, monkeypatch):
     """Fit one restart; return (model, inertia after each Lloyd iteration).
 
-    Wraps `_lloyd_pass` to copy the centroids and labels it starts from:
+    Wraps `_assign_labels` to copy the centroids and labels it starts from:
     those of the previous iteration after its centroid update. The last
     iteration's value is the model's own inertia.
     """
     assert params.restarts == 1
     entries = []
-    lloyd_pass = cluster._lloyd_pass
+    assign_labels = cluster._assign_labels
 
     def spy(kern, centroids, labels):
         entries.append((centroids.copy(), labels.copy()))
-        return lloyd_pass(kern, centroids, labels)
+        return assign_labels(kern, centroids, labels)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cluster, "_lloyd_pass", spy)
+        patch.setattr(cluster, "_assign_labels", spy)
         model = kmeans_fit(spectra, params)
     trace = [inertia(c, spectra, labels) for c, labels in entries[1:]]
     return model, trace + [model.inertia]
@@ -152,6 +154,17 @@ class TestFit:
             kmeans_fit(make_spectrum_set([[1.0, 2.0]]), KMeansParams(k=2))
         with pytest.raises(TooFewSamples, match="0 samples"):
             kmeans_fit(make_spectrum_set(np.zeros((0, 3))), KMeansParams(k=1))
+
+    def test_zero_bands_rejected_by_every_entry_point(self):
+        spectra = make_spectrum_set(np.zeros((5, 0)))
+        calls = [lambda: kmeans_fit(spectra, KMeansParams(k=2)),
+                 lambda: kmeans_init(spectra, KMeansParams(k=2)),
+                 lambda: kmeans_init(spectra, KMeansParams(k=2, init=INIT_RANDOM)),
+                 lambda: assign(np.zeros((2, 0)), spectra),
+                 lambda: assign(np.zeros((2, 3)), spectra)]
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="^samples have no bands$"):
+                call()
 
     def test_fixed_point_after_convergence(self, rng):
         points = rng.normal(size=(50, 3))
@@ -263,6 +276,15 @@ class TestInit:
         for mode in (INIT_KMEANSPP, INIT_RANDOM):
             c = kmeans_init(spectra, KMeansParams(k=1, init=mode, seed=4))
             assert any(np.array_equal(c[0], p) for p in points)
+
+    def test_k1_kmeanspp_makes_no_distance_pass(self, rng, monkeypatch):
+        """The first pick is uniform, and no later pick reads distances to it."""
+        points = rng.normal(size=(10, 3))
+        spectra = make_spectrum_set(points)
+        monkeypatch.setattr(cluster, "_sq_dist_to", lambda *args: pytest.fail("distance pass"))
+        for seed in range(5):
+            c = kmeans_init(spectra, KMeansParams(k=1, init=INIT_KMEANSPP, seed=seed))
+            assert c.tobytes() == points[[SplitMix64(seed).below(10)]].tobytes()
 
     def test_n_equals_k_is_permutation(self, rng):
         points = rng.normal(size=(5, 2)) * 3
@@ -422,15 +444,21 @@ class TestKernel:
 
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 16, 33, 127, 128, 129, 200, 300])
     def test_distances_bit_equal_to_broadcast(self, b):
+        """On a chunk's band rows of an F-ordered array, as `SpectrumSet` stores
+        samples, and on a gathered column set, as the label step passes them."""
         gen = np.random.default_rng(b)
         for n in (1, 4095, 4096, 4097, 10000):
-            x = gen.normal(size=(n, b)) * 37.3 + 11.1
+            x = gen.normal(size=(n, b)) * 37.3 + 11.1  # row-major, as the formula sums
+            x_t = np.asfortranarray(x).T
             centroids = gen.normal(size=(3, b)) * 37.3
-            kern = _Kernel(x, 3)
-            for s, e in kern.spans:
-                got = kern.sq_dists(s, e, centroids)
+            for s, e in _Kernel(x).spans:
+                got = _sq_dists(x_t[:, s:e], centroids)
                 want = broadcast_sq_dists(x[s:e], centroids).T
                 assert np.array_equal(bits(got), bits(want)), (b, n, s)
+                cols = s + np.flatnonzero(gen.random(e - s) < 0.3)
+                got = _sq_dists(x_t[:, cols], centroids)
+                want = broadcast_sq_dists(x[cols], centroids).T
+                assert np.array_equal(bits(got), bits(want)), (b, n, s, "gathered")
 
     @pytest.mark.parametrize("b", [1, 7, 33, 129])
     def test_sq_dist_to_bit_equal_at_any_worker_count(self, b):
@@ -439,8 +467,8 @@ class TestKernel:
         point = x[17]
         diff = x - point
         want = (diff * diff).sum(axis=1)
-        kern = _Kernel(x, 1)
-        for _ in range(2):  # the second pass reuses the scratch buffer
+        kern = _Kernel(x)
+        for _ in range(2):  # a second pass on the same kernel keeps the bits
             assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(want))
 
     def test_integer_ties_go_to_lowest_index(self, rng):
@@ -462,7 +490,9 @@ class TestKernel:
         # the last centroid sits far away, so its cluster stays empty
         centroids = np.vstack([gen.normal(size=(4, b)) * 19.7, np.full((1, b), 1e6)])
         labels = np.empty(n, dtype=np.int32)
-        sums, counts = _lloyd_pass(_Kernel(x, 5), centroids, labels)
+        kern = _Kernel(x)
+        _assign_labels(kern, centroids, labels)
+        sums, counts = _cluster_sums(kern, labels, 5)
         assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
         want_sums, want_counts = chunked_accumulate(x, labels, 5)
         assert np.array_equal(bits(sums), bits(want_sums))
@@ -522,7 +552,7 @@ class TestKernel:
             labels[:] = 0
         for m in (n,) if "2^53" in case else (0, 1, 255, n):
             for layout in (np.asfortranarray(x[:m]), x[:m]):  # SpectrumSet's, and row-major
-                kern = _Kernel(layout, k)
+                kern = _Kernel(layout)
                 assert kern.integral == (case != "past 2^53")
                 sums, counts = _cluster_sums(kern, labels[:m], k)
                 want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
@@ -532,7 +562,7 @@ class TestKernel:
 
     def test_fractions_nan_and_inf_are_not_integral(self):
         for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]):
-            assert not _Kernel(np.array(x), 1).integral
+            assert not _Kernel(np.array(x)).integral
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
         points = rng.normal(size=(10000, 6)) * 3.0
@@ -578,7 +608,7 @@ class TestKernel:
             elif case == "huge":
                 x[spot] = -2.0**80
             x = np.asarray(x, order=order)
-            got, want = _Kernel(x, 1).peak, oracle(x)
+            got, want = _Kernel(x).peak, oracle(x)
             assert (got is None) == (want is None), (case, n, b)
             if want is not None:
                 assert bits(got) == bits(want), (case, n, b)
@@ -610,16 +640,15 @@ class TestKernel:
             sign = gen.choice([-1.0, 1.0], size=(n, 1))
             x = sign * (peak - gen.integers(0, 4, size=(n, b)))
             x[0] = peak
-        kern = _Kernel(make_spectrum_set(x).vectors, 1)  # band-major, as a fit reads it
+        kern = _Kernel(make_spectrum_set(x).vectors)  # band-major, as a fit reads it
         top = np.abs(x).max()
         points = [np.zeros(b), np.full(b, -0.0), x[0], x[n - 1], -x[0],  # matvec if in bound
                   x[0] + 0.5, np.full(b, top + 1)]  # always the exact kernel
-        want = [np.concatenate([kern.sq_dists(s, e, p[None, :])[0].copy()
+        want = [np.concatenate([_sq_dists(kern.x.T[:, s:e], p[None, :])[0]
                                 for s, e in kern.spans]) for p in points]
         calls = []
-        sq_dists = _Kernel.sq_dists
-        monkeypatch.setattr(_Kernel, "sq_dists",
-                            lambda self, *args: calls.append(1) or sq_dists(self, *args))
+        monkeypatch.setattr(cluster, "_sq_dists",
+                            lambda *args: calls.append(1) or _sq_dists(*args))
         for i, (point, w) in enumerate(zip(points, want)):
             calls.clear()
             assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(w)), i
@@ -628,13 +657,13 @@ class TestKernel:
     def test_kmeanspp_init_takes_no_exact_pass_on_8bit_samples(self, monkeypatch):
         """The matvec path cannot silently vanish: on 8-bit samples k-means++
         init calls the exact kernel never, on unit-length rows once per chunk
-        and pick."""
+        and pick after the first (the distances to the last pick go unread)."""
         gen = np.random.default_rng(3)
         centers = gen.integers(0, 256, size=(5, 33))
         x = centers[gen.integers(0, 5, size=10000)] + gen.integers(-8, 9, size=(10000, 33))
         spectra = make_spectrum_set(np.clip(x, 0, 255))
         calls, init_calls = [], []
-        sq_dists, init_centroids = _Kernel.sq_dists, cluster._init_centroids
+        init_centroids = cluster._init_centroids
 
         def spy(kern, *args):
             before = len(calls)
@@ -642,12 +671,12 @@ class TestKernel:
             init_calls.append(len(calls) - before)
             return centroids
 
-        monkeypatch.setattr(_Kernel, "sq_dists",
-                            lambda self, *args: calls.append(1) or sq_dists(self, *args))
+        monkeypatch.setattr(cluster, "_sq_dists",
+                            lambda *args: calls.append(1) or _sq_dists(*args))
         monkeypatch.setattr(cluster, "_init_centroids", spy)
         params = KMeansParams(k=5, seed=0, restarts=2)
         kmeans_fit(spectra, params)
         assert init_calls == [0, 0]
         init_calls.clear()
         kmeans_fit(normalize_spectra(spectra, "unit-length"), params)
-        assert init_calls == [5 * 3, 5 * 3]  # 5 picks x 3 chunks
+        assert init_calls == [4 * 3, 4 * 3]  # 4 picks after the first x 3 chunks

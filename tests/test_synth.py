@@ -256,7 +256,7 @@ class TestTiledNoise:
         spec = SynthSpec(width=300, height=230, bands=2, ink_count=2, noise_sigma=sigma,
                          ink_signatures=np.array([[0.0, 255.0], [127.5, 3.0]]),
                          coverage=0.3, background_level=200, seed=4)
-        monkeypatch.setattr(synth.os, "cpu_count", lambda: 1)  # keep errstate on this thread
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)  # tile threads take this errstate
         exact = self.spy_exact(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             cube, truth = synth_document(spec)
