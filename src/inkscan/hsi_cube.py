@@ -132,20 +132,23 @@ def _check_band(band_index: int, bands: int) -> None:
         raise BandOutOfRange(f"band {band_index} not in 1..{bands}")
 
 
-def _read_planes(source, indices=None) -> list[np.ndarray]:
-    """Read the 1-based bands `indices` (all if None), checked to share one shape."""
+def _band_files(source, indices=None) -> list[tuple[int, Path]]:
+    """The (1-based index, path) of the bands `indices` (all if None), checked in range."""
     source = Path(source)
     if not source.exists():
         raise MissingBandFile(f"cube source {source} does not exist")
     paths = _band_paths(source)
     if not paths:
         raise EmptyCube(f"{source} holds no band files")
-    if indices is not None:
-        for band_index in indices:
-            _check_band(band_index, len(paths))
-        paths = [paths[i - 1] for i in indices]
+    if indices is None:
+        return paths
+    for band_index in indices:
+        _check_band(band_index, len(paths))
+    return [paths[i - 1] for i in indices]
 
-    planes = []
+
+def _read_planes(paths):
+    """Yield each band file's plane in turn, checked to share the first one's shape."""
     expected = None
     for band_index, path in paths:
         try:
@@ -162,8 +165,7 @@ def _read_planes(source, indices=None) -> list[np.ndarray]:
                 expected=(expected[1], expected[0]),
                 found=(plane.shape[1], plane.shape[0]),
             )
-        planes.append(plane)
-    return planes
+        yield plane
 
 
 def load_cube(source) -> HyperCube:
@@ -171,9 +173,16 @@ def load_cube(source) -> HyperCube:
 
     Directory mode orders *.pgm files by natural numeric filename order;
     manifest mode uses the declared 1..B indices. Intensities are
-    preserved exactly.
+    preserved exactly. Each band is copied into the cube's one
+    (B, H, W) array as it is read, so no band file's bytes outlive it.
     """
-    return HyperCube(np.stack(_read_planes(source), axis=0))
+    paths = _band_files(source)
+    data = None
+    for b, plane in enumerate(_read_planes(paths)):
+        if data is None:
+            data = np.empty((len(paths), *plane.shape), dtype=np.uint8)
+        data[b] = plane
+    return HyperCube(data)
 
 
 def load_bands(source, indices) -> list[GrayImage]:
@@ -183,7 +192,7 @@ def load_bands(source, indices) -> list[GrayImage]:
     as in load_cube, and every index must lie in 1..B before any band is
     read. The bands read must share one shape.
     """
-    return [GrayImage(plane) for plane in _read_planes(source, indices)]
+    return [GrayImage(plane) for plane in _read_planes(_band_files(source, indices))]
 
 
 def band_image(cube: HyperCube, band_index: int) -> GrayImage:
@@ -205,15 +214,20 @@ def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:
     """Collapse the cube to one grayscale image for thresholding.
 
     mode="mean": per-pixel arithmetic mean across bands, rounded half-up
-    (computed in exact integer arithmetic, so band order cannot matter).
+    as (2 * sum + B) // (2 * B). The sum and the rounding run in place in
+    the narrowest unsigned dtype that holds 511 * B, the largest value
+    they reach (uint16 up to B = 128); every step is exact integer
+    arithmetic, so band order cannot matter.
     mode="band:<i>": the single 1-based band i.
     """
     band = reference_band(mode)
     if band:
         return band_image(cube, band)
-    sums = cube.data.sum(axis=0, dtype=np.int64)
     b = cube.bands
-    mean = (2 * sums + b) // (2 * b)  # round-half-up of sums/b
+    mean = cube.data.sum(axis=0, dtype=np.min_scalar_type(511 * b))
+    mean *= 2
+    mean += b
+    mean //= 2 * b  # round-half-up of sum/b
     return GrayImage(mean.astype(np.uint8))
 
 

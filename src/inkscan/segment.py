@@ -5,7 +5,6 @@ Map labels use 0 for background and 1..k for cluster id + 1, so a single
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -115,34 +114,64 @@ def read_label_pgm(path) -> SegmentationMap:
     return SegmentationMap(labels, int(labels.max(initial=0)))
 
 
-def _byte_rows(coords: np.ndarray, vectors: np.ndarray) -> bytes | None:
-    """The `x,y,b1,...,bB` rows of 8-bit spectra, or None for any other values.
+# rows per block of the CSV writer: each block's index, gather and bytes
+# stay a few hundred kB, so the export touches few new pages
+_BLOCK_ROWS = 1024
 
-    Every value must be an integer in 0..255 with a clear sign bit (repr
-    prints -0.0 as '-0.0'), as extract_spectra gives for an 8-bit cube.
-    Each possible token is then formatted once, with its separator; the
-    rows are gathered from a NUL-padded table of them and the padding
-    deleted, which gives the bytes of the per-value repr rows.
+
+def _level_table(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The NUL-padded token table of 8-bit rows and each coordinate's token.
+
+    Token i is value i with a comma, 256 + i ends a row, and 512 + j is
+    the j-th distinct coordinate with a comma; each possible token is
+    formatted once. Returns the table and the (N, 2) token of `coords`.
     """
-    n, bands = vectors.shape
-    # compare before casting: NaN, inf and out-of-range floats fail here
-    if bands == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
-        return None
-    levels = vectors.astype(np.uint8)
-    if not (levels == vectors).all() or np.signbit(vectors).any():
-        return None
     xy, xy_token = np.unique(coords, return_inverse=True)
-    # token i is value i with a comma, 256 + i ends a row, 512 + j is coordinate xy[j]
     tokens = ([f"{float(i)!r}," for i in range(256)] + [f"{float(i)!r}\n" for i in range(256)]
               + [f"{c}," for c in xy.tolist()])
     # a multiple of 8 bytes per token: 6-byte items gather about 2.5x slower
     width = -(-max(map(len, tokens)) // 8) * 8
     table = np.array([t.encode() for t in tokens], dtype=f"S{width}")
-    index = np.empty((n, bands + 2), dtype=np.intp)
-    index[:, :2] = xy_token.reshape(n, 2) + 512
-    index[:, 2:] = levels
-    index[:, -1] += 256
-    return table[index].tobytes().translate(None, b"\0")
+    return table, xy_token.reshape(coords.shape) + 512
+
+
+def _levels(vectors: np.ndarray) -> np.ndarray | None:
+    """`vectors` as uint8 if it has bands and every value is an integer in 0..255.
+
+    The sign bit must be clear too (repr prints -0.0 as '-0.0'); an
+    extract_spectra row of an 8-bit cube always qualifies. Else None.
+    """
+    # compare before casting: NaN, inf and out-of-range floats fail here
+    if vectors.shape[1] == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
+        return None
+    levels = vectors.astype(np.uint8)
+    if not (levels == vectors).all() or np.signbit(vectors).any():
+        return None
+    return levels
+
+
+def _csv_blocks(coords: np.ndarray, vectors: np.ndarray):
+    """Yield the bytes of the `x,y,b1,...,bB` rows, _BLOCK_ROWS rows at a time.
+
+    A block of 8-bit rows is gathered from _level_table's tokens and the
+    padding deleted; any other block is formatted value by value with
+    repr. Both give the bytes of the per-value repr rows.
+    """
+    table = None
+    for start in range(0, len(coords), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        levels = _levels(vectors[rows])
+        if levels is None:
+            yield "".join(f"{x},{y},{','.join(map(repr, values))}\n" for (x, y), values
+                          in zip(coords[rows].tolist(), vectors[rows].tolist())).encode()
+            continue
+        if table is None:
+            table, xy_token = _level_table(coords)
+        index = np.empty((len(levels), levels.shape[1] + 2), dtype=np.intp)
+        index[:, :2] = xy_token[rows]
+        index[:, 2:] = levels
+        index[:, -1] += 256
+        yield table[index].tobytes().translate(None, b"\0")
 
 
 def export_spectra_csv(
@@ -155,7 +184,10 @@ def export_spectra_csv(
 
     With sample_limit below N, a seeded uniform subset is taken and the
     original row order is preserved. Floats are rendered with Python's
-    shortest round-trip repr, so re-parsing recovers them exactly.
+    shortest round-trip repr, so re-parsing recovers them exactly. The
+    header and then blocks of rows are written in turn, so the file's
+    bytes never sit in memory whole; they are the same bytes as one
+    per-value repr pass would write.
     """
     n = spectra.count
     if sample_limit is not None and sample_limit < 0:
@@ -167,12 +199,11 @@ def export_spectra_csv(
 
     coords, vectors = spectra.coords[rows], spectra.vectors[rows]
     header = ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)])
-    body = _byte_rows(coords, vectors)
-    if body is None:
-        body = "".join(f"{x},{y},{','.join(map(repr, values))}\n"
-                       for (x, y), values in zip(coords.tolist(), vectors.tolist())).encode()
     try:
-        Path(path).write_bytes(header.encode() + b"\n" + body)
+        with open(path, "wb") as out:
+            out.write(header.encode() + b"\n")
+            for block in _csv_blocks(coords, vectors):
+                out.write(block)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return len(coords)

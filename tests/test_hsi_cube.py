@@ -143,6 +143,25 @@ def test_dimension_mismatch_carries_details(tmp_path):
     assert exc.value.found == (10, 9)
 
 
+def test_manifest_third_band_errors_keep_their_details(tmp_path):
+    # the cube's buffer exists once band 1 is read; later bands still fail alone
+    for i in (1, 2, 4):
+        write_band(tmp_path / f"b{i}.pgm", i, shape=(10, 10))
+    write_band(tmp_path / "b3.pgm", 3, shape=(9, 10))
+    m = tmp_path / "m.txt"
+    m.write_text("".join(f"{i}\tb{i}.pgm\n" for i in range(1, 5)))
+    with pytest.raises(DimensionMismatch) as exc:
+        load_cube(m)
+    assert str(exc.value) == "band 3 is 10x9, expected 10x10"
+    assert exc.value.band_index == 3
+    assert exc.value.expected == (10, 10)
+    assert exc.value.found == (10, 9)
+    (tmp_path / "b3.pgm").unlink()
+    with pytest.raises(MissingBandFile) as exc:
+        load_cube(m)
+    assert str(exc.value) == f"band 3: {tmp_path / 'b3.pgm'} does not exist"
+
+
 def test_empty_sources(tmp_path):
     with pytest.raises(EmptyCube):
         load_cube(tmp_path)
@@ -216,6 +235,23 @@ def test_reference_mean_matches_rounding_oracle_all_pairs():
             assert got[i, j] == half_up, (i, j)
     # full-grid check via integer arithmetic written differently
     assert np.array_equal(got, ((a + b + 1) // 2).astype(np.uint8))
+
+
+@pytest.mark.parametrize("bands", [2, 4, 33, 128, 129, 256, 257, 258])
+def test_reference_mean_matches_int64_formula_for_every_sum(bands):
+    # one pixel per sum 0..255 * B, so the all-255 pixel and, for even B,
+    # every sum on an exact .5 are there; 128/129 and 257/258 straddle the
+    # widths at which 511 * B and 255 * B leave uint16
+    sums = np.arange(255 * bands + 1)
+    data = ((sums // bands).astype(np.uint8)
+            + (np.arange(bands)[:, None] < sums % bands)).reshape(bands, 1, -1)
+    assert np.array_equal(data.sum(axis=0, dtype=np.int64)[0], sums)
+    got = reference_image(HyperCube(data), "mean").pixels[0]
+    assert np.array_equal(got, (2 * sums + bands) // (2 * bands))
+    assert got[-1] == 255
+    if bands % 2 == 0:
+        halves = sums[sums % bands == bands // 2]  # sum / B = k + 0.5
+        assert np.array_equal(got[halves], halves // bands + 1)
 
 
 def test_reference_mean_band_permutation_invariant(rng):

@@ -6,6 +6,7 @@ import pytest
 from inkscan.binarize import ForegroundMask, SpectrumSet
 from inkscan.errors import DimensionMismatch, IoFailure, TooManyClusters
 from inkscan.segment import (
+    _BLOCK_ROWS,
     SegmentationMap,
     build_label_map,
     default_palette,
@@ -210,7 +211,8 @@ class TestCsv:
             export_spectra_csv(make_spectrum_set(rng.random((3, 2))), tmp_path / "x.csv", -1)
 
     @pytest.mark.parametrize("bands", [0, 1, 2, 33])
-    @pytest.mark.parametrize("n", [0, 1, 4097])
+    @pytest.mark.parametrize("n", [0, 1, 4097, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
     def test_levels_match_oracle(self, tmp_path, rng, bands, n):
         spectra = level_spectra(rng, n or 5, bands)
         limit = 0 if n == 0 else None  # n = 0: the header line alone
@@ -222,14 +224,22 @@ class TestCsv:
     @pytest.mark.parametrize("value", [-0.0, 0.5, 255.0000001, 256.0, -3.0, 2.0 ** 53,
                                        1e16, float("nan"), float("inf"), float("-inf")])
     def test_values_beyond_levels_match_oracle(self, tmp_path, rng, value):
-        spectra = level_spectra(rng, 6, 33)
-        vectors = spectra.vectors.copy()
-        vectors[3, 7] = value
-        spectra = SpectrumSet(vectors, spectra.coords)
+        # the odd value alone, in the first of two blocks, and in the second
+        for n, row in [(6, 3), (_BLOCK_ROWS + 6, 3), (_BLOCK_ROWS + 6, _BLOCK_ROWS + 3)]:
+            spectra = level_spectra(rng, n, 33)
+            vectors = spectra.vectors.copy()
+            vectors[row, 7] = value
+            spectra = SpectrumSet(vectors, spectra.coords)
+            path = tmp_path / "s.csv"
+            export_spectra_csv(spectra, path)
+            assert path.read_bytes() == oracle_csv(spectra)
+            assert f",{value!r}," in path.read_text()
+
+    def test_real_values_across_block_edge_match_oracle(self, tmp_path, rng):
+        spectra = make_spectrum_set(rng.random((_BLOCK_ROWS + 5, 3)) * 300)
         path = tmp_path / "s.csv"
-        export_spectra_csv(spectra, path)
+        assert export_spectra_csv(spectra, path) == _BLOCK_ROWS + 5
         assert path.read_bytes() == oracle_csv(spectra)
-        assert f",{value!r}," in path.read_text()
 
     @pytest.mark.parametrize("coord", [-1, -70000, 256, 70000, 2 ** 31 - 1, -(2 ** 31)])
     def test_any_coordinate_matches_oracle(self, tmp_path, rng, coord):
