@@ -9,6 +9,9 @@ Each command builds its configuration records (`ThresholdConfig`,
 `KMeansParams`, `SynthSpec`) from the parsed flags before any I/O; the
 records are the only validators of the flags they hold, and argparse
 checks the rest. So a bad invocation exits 2 before any work starts.
+Each command imports only the modules it runs: the parser needs
+`binarize`, `hsi_cube` and `segment`, `segment` adds `cluster`, and
+`synth` and `eval` add `synth`.
 Runtime/data failures, running out of memory included, exit 1 with a
 one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -20,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import binarize, cluster, hsi_cube, segment, synth
+from . import binarize, hsi_cube, segment
 from .errors import DegenerateHistogram, InkscanError, InvalidSpec
 
 
@@ -75,9 +78,9 @@ def _reference_mode(text):
 def _add_threshold_flags(parser):
     parser.add_argument("--threshold", type=int, default=binarize.DEFAULT_THRESHOLD,
                         help="binary threshold t in 0..255 (default 40)")
-    parser.add_argument("--polarity", choices=[binarize.KEEP_AT_OR_ABOVE, binarize.KEEP_BELOW],
-                        default=binarize.KEEP_AT_OR_ABOVE,
-                        help="which side of t is foreground (default keep-at-or-above)")
+    parser.add_argument("--polarity", default=binarize.KEEP_AT_OR_ABOVE,
+                        help="which side of t is foreground: keep-at-or-above or keep-below "
+                             "(default keep-at-or-above)")
     parser.add_argument("--otsu", action="store_true",
                         help="pick t automatically (between-class variance); falls back "
                              "to --threshold on constant images")
@@ -89,9 +92,8 @@ def _add_cluster_flags(parser):
     parser.add_argument("--k", type=_cluster_count, default=5,
                         help=f"number of ink clusters, 1..{segment.MAX_CLUSTERS} (default 5)")
     parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--init", choices=[cluster.INIT_KMEANSPP, cluster.INIT_RANDOM],
-                        default=cluster.INIT_KMEANSPP,
-                        help="centroid initialization (default kmeanspp)")
+    parser.add_argument("--init", default="kmeanspp",
+                        help="centroid initialization: kmeanspp or random (default kmeanspp)")
     parser.add_argument("--max-iter", type=int, default=300,
                         help="Lloyd iteration cap (default 300)")
     parser.add_argument("--tol", type=float, default=1e-6,
@@ -199,6 +201,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    from . import cluster
+
     params = cluster.KMeansParams(
         k=args.k,
         init=args.init,
@@ -239,6 +243,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     spec = synth.SynthSpec(
         width=args.width,
         height=args.height,
@@ -281,6 +287,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import synth
+
     pred = segment.read_label_pgm(args.pred)
     truth = segment.read_label_pgm(args.truth)
     report = synth.best_permutation_accuracy(pred, truth)

@@ -19,7 +19,6 @@ cosine gives, and float64 elsewhere (`_floor_noisy`).
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +321,8 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
     truth : SegmentationMap
         Ink labels 1..K at stroke pixels, 0 elsewhere.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so `eval` skips its import
+
     master = SplitMix64(spec.seed)
     sig_rng = SplitMix64(master.spawn_seed())
     layout_rng = SplitMix64(master.spawn_seed())

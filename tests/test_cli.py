@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
 
 from conftest import avx512_off_env, subprocess_env
-from inkscan import netpbm, synth
-from inkscan.cli import main
+from inkscan import binarize, cluster, netpbm, synth
+from inkscan.cli import build_parser, main
 from inkscan.segment import read_label_pgm
 
 
@@ -256,17 +257,6 @@ class TestSegment:
         assert len(runs[0][1]) == 33 + 5  # bands, manifest, truth, sidecar, render, labels
         assert runs[0] == runs[1]
 
-    def test_segment_leaves_numpy_ma_unimported(self, synth_dir, tmp_path):
-        """np.unique imports numpy.ma, 15-18 ms a run that segment has no use for."""
-        check = ("import sys; from inkscan.cli import main; code = main(sys.argv[1:]); "
-                 "assert code == 0 and 'numpy.ma' not in sys.modules")
-        result = subprocess.run(
-            [sys.executable, "-c", check, "segment", str(synth_dir / "bands"), "--k", "3",
-             "--out-render", str(tmp_path / "r.ppm"), "--out-labels", str(tmp_path / "l.pgm")],
-            capture_output=True, env=subprocess_env(),
-        )
-        assert result.returncode == 0, result.stderr
-
     def test_k1_single_ink_color(self, synth_dir, tmp_path, capsys):
         render = tmp_path / "k1.ppm"
         code = main(["segment", str(synth_dir / "bands"), "--k", "1",
@@ -338,6 +328,8 @@ class TestRecordsValidateFlags:
         (["segment", "--max-iter", "0"], "max_iterations"),
         (["segment", "--restarts", "0"], "restarts"),
         (["spectra", "--threshold", "-1"], "threshold"),
+        (["segment", "--init", "bogus"], "init"),
+        (["segment", "--polarity", "sideways"], "polarity"),
     ])
     def test_exits_2_before_loading(self, tmp_path, capsys, argv, rule):
         # the input does not exist: a check after loading would exit 1
@@ -348,8 +340,22 @@ class TestRecordsValidateFlags:
         code = main([argv[0], str(tmp_path / "missing"), *argv[1:], *outputs])
         assert code == 2
         err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
         assert rule in err and "does not exist" not in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_help_names_the_values_records_accept(self, capsys, monkeypatch):
+        """Records, not argparse, check --init and --polarity; the help names their values,
+        and the parser's defaults are the records' own."""
+        monkeypatch.setenv("COLUMNS", "400")  # no line breaks inside a hyphenated value
+        assert main(["segment", "--help"]) == 0
+        out = capsys.readouterr().out
+        for value in (cluster.INIT_KMEANSPP, cluster.INIT_RANDOM,
+                      binarize.KEEP_AT_OR_ABOVE, binarize.KEEP_BELOW):
+            assert value in out
+        args = build_parser().parse_args(["segment", "doc"])
+        assert args.init == cluster.KMeansParams(k=1).init
+        assert args.polarity == binarize.ThresholdConfig().polarity
 
     def test_synth_inks_above_8_bit_exits_2_before_writing(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -462,6 +468,46 @@ class TestEval:
         assert payload["accuracy"] == 1.0
 
 
+# modules a fresh process must not hold after each command ("import": a bare
+# `import inkscan`); np.unique imports numpy.ma, 15-18 ms a run segment has no use for
+UNWANTED = {
+    "import": ["inkscan.*"],
+    "bands": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
+    "spectra": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
+    "eval": ["inkscan.cluster", "concurrent.futures", "logging"],
+    "segment": ["inkscan.synth", "concurrent.futures", "logging", "numpy.ma"],
+}
+
+
+@pytest.fixture(scope="module")
+def modules_after(tmp_path_factory):
+    """The modules loaded by a fresh process after each command runs on a small
+    page, and after a bare `import inkscan`."""
+    tmp = tmp_path_factory.mktemp("modules")
+    doc = tmp / "doc"
+    runs = {  # in this order: the page first, eval after segment
+        "synth": ["synth", "--out-dir", str(doc), "--width", "40", "--height", "32",
+                  "--bands", "6", "--inks", "3", "--noise-sigma", "3", "--coverage", "0.3",
+                  "--seed", "2"],
+        "bands": ["bands", str(doc / "bands"), "--bands", "1,6", "--out-dir", str(tmp / "v")],
+        "spectra": ["spectra", str(doc / "bands"), "--out", str(tmp / "s.csv")],
+        "segment": ["segment", str(doc / "bands"), "--k", "3", "--out-render",
+                    str(tmp / "r.ppm"), "--out-labels", str(tmp / "l.pgm")],
+        "eval": ["eval", str(tmp / "l.pgm"), str(doc / "truth.pgm")],
+    }
+    check = ("import sys; from inkscan.cli import main; "
+             "assert main(sys.argv[1:]) == 0; print(*sys.modules)")
+    scripts = {command: [check, *argv] for command, argv in runs.items()}
+    scripts["import"] = ["import sys, inkscan; print(*sys.modules)"]
+    loaded = {}
+    for command, script in scripts.items():
+        result = subprocess.run([sys.executable, "-c", *script],
+                                capture_output=True, text=True, env=subprocess_env())
+        assert result.returncode == 0, result.stderr
+        loaded[command] = set(result.stdout.splitlines()[-1].split())
+    return loaded
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["polish"]) == 2
@@ -469,15 +515,19 @@ class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
-    def test_cli_loads_no_undeclared_dependency(self):
+    def test_cli_loads_no_undeclared_dependency(self, modules_after):
         # numpy is the only declared runtime dependency
-        result = subprocess.run(
-            [sys.executable, "-c", "import sys, inkscan.cli; print(*sys.modules)"],
-            capture_output=True, text=True, check=True, env=subprocess_env(),
-        )
-        loaded = {name.split(".")[0] for name in result.stdout.split()}
-        assert "numpy" in loaded
-        assert not loaded & {"scipy", "hypothesis", "pytest_benchmark"}
+        for command in ("bands", "spectra", "segment", "synth", "eval"):
+            loaded = {name.split(".")[0] for name in modules_after[command]}
+            assert "numpy" in loaded, command
+            assert not loaded & {"scipy", "hypothesis", "pytest_benchmark"}, command
+
+    @pytest.mark.parametrize("command", UNWANTED)
+    def test_command_leaves_modules_unimported(self, modules_after, command):
+        """Each command imports only the modules it runs."""
+        hits = sorted(name for name in modules_after[command]
+                      if any(fnmatchcase(name, pattern) for pattern in UNWANTED[command]))
+        assert hits == []
 
     def test_console_entrypoint_smoke(self, tmp_path):
         result = subprocess.run(
