@@ -17,11 +17,11 @@ _EXPORTS = {
                 "kmeans_init"),
     "hsi_cube": ("GrayImage", "HyperCube", "band_image", "load_cube", "reference_image",
                  "write_gray_pgm"),
-    "segment": ("SegmentationMap", "build_label_map", "default_palette",
+    "segment": ("EvalReport", "SegmentationMap", "best_permutation_accuracy",
+                "build_label_map", "confusion_matrix", "default_palette",
                 "export_spectra_csv", "read_label_pgm", "render_segmentation",
                 "write_label_pgm", "write_rgb_ppm"),
-    "synth": ("EvalReport", "SynthSpec", "best_permutation_accuracy", "confusion_matrix",
-              "synth_document"),
+    "synth": ("SynthSpec", "synth_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "errors", "netpbm", "rng"}

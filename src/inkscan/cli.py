@@ -10,8 +10,8 @@ Each command builds its configuration records (`ThresholdConfig`,
 records are the only validators of the flags they hold, and argparse
 checks the rest. So a bad invocation exits 2 before any work starts.
 Each command imports only the modules it runs: the parser needs
-`binarize`, `hsi_cube` and `segment`, `segment` adds `cluster`, and
-`synth` and `eval` add `synth`.
+`binarize`, `hsi_cube` and `segment` (which scores label maps too),
+`segment` adds `cluster`, and only `synth` loads `synth`.
 Runtime/data failures, running out of memory included, exit 1 with a
 one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -22,6 +22,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import binarize, hsi_cube, segment
 from .errors import DegenerateHistogram, InkscanError, InvalidSpec
@@ -219,7 +221,7 @@ def cmd_segment(args) -> int:
     segment.write_rgb_ppm(render, args.out_render)
     segment.write_label_pgm(segmap, args.out_labels)
 
-    counts = [int((model.labels == c).sum()) for c in range(args.k)]
+    counts = np.bincount(model.labels, minlength=args.k).tolist()
     if args.json:
         print(json.dumps({
             "command": "segment",
@@ -287,11 +289,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import synth
-
     pred = segment.read_label_pgm(args.pred)
     truth = segment.read_label_pgm(args.truth)
-    report = synth.best_permutation_accuracy(pred, truth)
+    report = segment.best_permutation_accuracy(pred, truth)
     if args.json:
         print(json.dumps({
             "command": "eval",
@@ -303,7 +303,7 @@ def cmd_eval(args) -> int:
         print(f"accuracy={report.accuracy:.6f}")
         pairs = " ".join(f"{p}->{t}" for p, t in sorted(report.mapping.items()))
         print(f"mapping: {pairs if pairs else '(none)'}")
-        print(synth.format_confusion(report.confusion))
+        print(segment.format_confusion(report.confusion))
     return 0
 
 

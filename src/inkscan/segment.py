@@ -1,9 +1,12 @@
-"""Label maps, color-rendered segmentations, and plot-ready spectra export.
+"""Label maps: their PGM form, scoring, color rendering, and spectra export.
 
-Map labels use 0 for background and 1..k for cluster id + 1, so a single
-8-bit PGM channel carries the whole segmentation losslessly.
+Map labels use 0 for background and 1..k for cluster id + 1, held as
+uint8 with k <= 255, so a single 8-bit PGM channel carries the whole
+segmentation losslessly. Maps are scored against a truth map by the best
+label bijection.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +31,23 @@ _COLORS = np.array([
 ], dtype=np.uint8)
 _COLORS.flags.writeable = False
 MAX_CLUSTERS = len(_COLORS) - 1  # clusters the default palette can color
+_MAX_EXHAUSTIVE_K = 8  # clusters best_permutation_accuracy scores
 
 
 @dataclass(frozen=True, eq=False)
 class SegmentationMap:
-    """Per-pixel labels in [0, k]; 0 = background, 1..k = ink clusters."""
+    """Per-pixel uint8 labels in [0, k]; 0 = background, 1..k = ink clusters; k <= 255."""
 
     labels: np.ndarray
     k: int
 
     def __post_init__(self):
-        labels = freeze_array(self, "labels", np.int32, 2)
+        if self.k > 255:
+            raise TooManyClusters(f"k={self.k} labels do not fit in 8 bits")
+        labels = np.asarray(self.labels)  # checked before the cast, so no label wraps
         if labels.size and (labels.min() < 0 or labels.max() > self.k):
             raise ValueError(f"labels must lie in 0..{self.k}")
+        freeze_array(self, "labels", np.uint8, 2)
 
     @property
     def width(self) -> int:
@@ -72,8 +79,8 @@ def build_label_map(mask: ForegroundMask, labels: np.ndarray, k: int) -> Segment
         )
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"cluster labels must lie in 0..{k - 1}")
-    out = np.zeros((mask.height, mask.width), dtype=np.int32)
-    out[mask.flags] = labels.astype(np.int32) + 1  # row-major fill order
+    out = np.zeros((mask.height, mask.width), dtype=np.uint8)
+    out[mask.flags] = labels + 1  # row-major fill order
     return SegmentationMap(out, k)
 
 
@@ -102,16 +109,76 @@ def write_rgb_ppm(image: np.ndarray, path) -> None:
 
 
 def write_label_pgm(segmap: SegmentationMap, path) -> None:
-    """Write raw labels 0..k as a binary PGM; k must fit in 8 bits."""
-    if segmap.k > 255:
-        raise TooManyClusters(f"k={segmap.k} labels do not fit an 8-bit PGM")
-    netpbm.write_pgm(segmap.labels.astype(np.uint8), path)
+    """Write raw labels 0..k as a binary PGM."""
+    netpbm.write_pgm(segmap.labels, path)
 
 
 def read_label_pgm(path) -> SegmentationMap:
     """Read a label PGM back; k is the highest label present."""
-    labels = netpbm.read_pgm(path).astype(np.int32)
+    labels = netpbm.read_pgm(path)
     return SegmentationMap(labels, int(labels.max(initial=0)))
+
+
+@dataclass(frozen=True, eq=False)
+class EvalReport:
+    """Best-bijection scoring of a predicted map against ground truth."""
+
+    accuracy: float
+    mapping: dict
+    confusion: np.ndarray
+
+
+def confusion_matrix(pred: SegmentationMap, truth: SegmentationMap) -> np.ndarray:
+    """(K+1)x(K+1) counts; entry (i, j) = pixels with truth i, predicted j."""
+    if (pred.height, pred.width) != (truth.height, truth.width):
+        raise DimensionMismatch(
+            f"prediction is {pred.width}x{pred.height}, "
+            f"truth is {truth.width}x{truth.height}"
+        )
+    side = max(pred.k, truth.k) + 1
+    flat = truth.labels.ravel().astype(np.int64) * side + pred.labels.ravel()
+    return np.bincount(flat, minlength=side * side).reshape(side, side)
+
+
+def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> EvalReport:
+    """Score `pred` against `truth` over all label bijections.
+
+    Searches every bijection between nonzero predicted and nonzero truth
+    labels (the smaller side padded with "unmatched"), maximizing matched
+    ink pixels; accuracy is over truth ink pixels only. Ties pick the
+    lexicographically smallest mapping tuple (unmatched sorts first).
+    With no truth ink pixels the accuracy is defined as 1.0.
+    """
+    if pred.k > _MAX_EXHAUSTIVE_K or truth.k > _MAX_EXHAUSTIVE_K:
+        raise TooManyClusters(f"exhaustive search handles k <= {_MAX_EXHAUSTIVE_K}")
+    counts = confusion_matrix(pred, truth)
+    kp, kt = pred.k, truth.k
+    truth_ink = int(counts[1:, :].sum())
+
+    # candidate truth assignments for pred labels 1..kp; 0 = unmatched
+    padded = list(range(1, kt + 1)) + [0] * max(0, kp - kt)
+    best_tuple = None
+    best_matched = -1
+    for mapping in sorted(set(itertools.permutations(padded, kp))):
+        matched = sum(int(counts[t, p + 1]) for p, t in enumerate(mapping) if t)
+        if matched > best_matched:
+            best_matched = matched
+            best_tuple = mapping
+
+    accuracy = best_matched / truth_ink if truth_ink else 1.0
+    mapping = {p + 1: t for p, t in enumerate(best_tuple or ()) if t}
+    return EvalReport(accuracy=accuracy, mapping=mapping, confusion=counts)
+
+
+def format_confusion(counts: np.ndarray) -> str:
+    """Plain-text confusion table, truth rows by predicted columns."""
+    side = counts.shape[0]
+    width = max(5, len(str(int(counts.max(initial=0)))) + 1)
+    header = "truth\\pred" + "".join(f"{j:>{width}}" for j in range(side))
+    lines = [header]
+    for i in range(side):
+        lines.append(f"{i:>10}" + "".join(f"{int(v):>{width}}" for v in counts[i]))
+    return "\n".join(lines)
 
 
 # rows per block of the CSV writer: each block's index, gather and bytes

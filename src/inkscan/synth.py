@@ -1,4 +1,4 @@
-"""Synthetic multi-ink documents with ground truth, and segmentation scoring.
+"""Synthetic multi-ink documents with a uint8 ground-truth label map.
 
 A synthetic page is laid out as K horizontal sections, one ink each, and
 every section is written as rows of axis-aligned strokes 1-3 px thick,
@@ -17,22 +17,19 @@ where a bound proves the byte is the one `rng.normal_block`'s float64
 cosine gives, and float64 elsewhere (`_floor_noisy`).
 """
 
-import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, TooManyClusters
+from .errors import InvalidSpec
 from .hsi_cube import HyperCube
 from .rng import SplitMix64, polar_block
-from .segment import SegmentationMap
+from .segment import SegmentationMap, best_permutation_accuracy  # noqa: F401 (bench/ calls it here)
 
 # Auto-generated signatures keep this floor even at zero noise, so that
 # rounding to 8 bits can never collapse two inks onto one spectrum.
 MIN_SIGNATURE_SEPARATION = 2.0
-
-_MAX_EXHAUSTIVE_K = 8
 
 # pixels per noise task; a whole 512x512 band per task raised synth's peak RSS
 _TILE = 65_536
@@ -84,15 +81,6 @@ class SynthSpec:
     def separation(self) -> float:
         """Minimum pairwise mean absolute difference for auto signatures."""
         return max(8.0 * self.noise_sigma, MIN_SIGNATURE_SEPARATION)
-
-
-@dataclass(frozen=True, eq=False)
-class EvalReport:
-    """Best-bijection scoring of a predicted map against ground truth."""
-
-    accuracy: float
-    mapping: dict
-    confusion: np.ndarray
 
 
 def _bump_curve(bands: int, rng: SplitMix64) -> np.ndarray | None:
@@ -260,7 +248,7 @@ def _layout_truth(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
     total_ink = round(spec.coverage * w * h)
     heights = [h // k + (1 if i < h % k else 0) for i in range(k)]
     budgets = _split_budgets(total_ink, heights, w)
-    truth = np.zeros((h, w), dtype=np.int32)
+    truth = np.zeros((h, w), dtype=np.uint8)
     y = 0
     for ink, (section_h, budget) in enumerate(zip(heights, budgets), start=1):
         _draw_section(truth, y, y + section_h, w, ink, budget, rng)
@@ -360,59 +348,3 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
         list(pool.map(fill, tasks))
     cube = cube.reshape(spec.bands, spec.height, spec.width)
     return HyperCube(cube), SegmentationMap(truth, spec.ink_count)
-
-
-def confusion_matrix(pred: SegmentationMap, truth: SegmentationMap) -> np.ndarray:
-    """(K+1)x(K+1) counts; entry (i, j) = pixels with truth i, predicted j."""
-    if (pred.height, pred.width) != (truth.height, truth.width):
-        raise DimensionMismatch(
-            f"prediction is {pred.width}x{pred.height}, "
-            f"truth is {truth.width}x{truth.height}"
-        )
-    k = max(pred.k, truth.k)
-    side = k + 1
-    flat = truth.labels.ravel().astype(np.int64) * side + pred.labels.ravel()
-    return np.bincount(flat, minlength=side * side).reshape(side, side)
-
-
-def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> EvalReport:
-    """Score `pred` against `truth` over all label bijections.
-
-    Searches every bijection between nonzero predicted and nonzero truth
-    labels (the smaller side padded with "unmatched"), maximizing matched
-    ink pixels; accuracy is over truth ink pixels only. Ties pick the
-    lexicographically smallest mapping tuple (unmatched sorts first).
-    With no truth ink pixels the accuracy is defined as 1.0.
-    """
-    if pred.k > _MAX_EXHAUSTIVE_K or truth.k > _MAX_EXHAUSTIVE_K:
-        raise TooManyClusters(
-            f"exhaustive search handles k <= {_MAX_EXHAUSTIVE_K}"
-        )
-    counts = confusion_matrix(pred, truth)
-    kp, kt = pred.k, truth.k
-    truth_ink = int(counts[1:, :].sum())
-
-    # candidate truth assignments for pred labels 1..kp; 0 = unmatched
-    padded = list(range(1, kt + 1)) + [0] * max(0, kp - kt)
-    best_tuple = None
-    best_matched = -1
-    for mapping in sorted(set(itertools.permutations(padded, kp))):
-        matched = sum(int(counts[t, p + 1]) for p, t in enumerate(mapping) if t)
-        if matched > best_matched:
-            best_matched = matched
-            best_tuple = mapping
-
-    accuracy = best_matched / truth_ink if truth_ink else 1.0
-    mapping = {p + 1: t for p, t in enumerate(best_tuple or ()) if t}
-    return EvalReport(accuracy=accuracy, mapping=mapping, confusion=counts)
-
-
-def format_confusion(counts: np.ndarray) -> str:
-    """Plain-text confusion table, truth rows by predicted columns."""
-    side = counts.shape[0]
-    width = max(5, len(str(int(counts.max(initial=0)))) + 1)
-    header = "truth\\pred" + "".join(f"{j:>{width}}" for j in range(side))
-    lines = [header]
-    for i in range(side):
-        lines.append(f"{i:>10}" + "".join(f"{int(v):>{width}}" for v in counts[i]))
-    return "\n".join(lines)

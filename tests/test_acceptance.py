@@ -18,8 +18,7 @@ from inkscan.binarize import ThresholdConfig, threshold_binary, otsu_threshold
 from inkscan.cli import main
 from inkscan.cluster import INIT_KMEANSPP, INIT_RANDOM, KMeansParams, assign, kmeans_fit
 from inkscan.hsi_cube import GrayImage
-from inkscan.segment import SegmentationMap, export_spectra_csv
-from inkscan.synth import best_permutation_accuracy
+from inkscan.segment import SegmentationMap, best_permutation_accuracy, export_spectra_csv
 
 from conftest import make_spectrum_set
 from test_binarize import exhaustive_otsu

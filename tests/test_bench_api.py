@@ -9,6 +9,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+from inkscan import segment, synth
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -73,3 +75,8 @@ def test_bench_calls_bind_current_signatures():
         except TypeError as exc:
             unbound.append(f"{where} {name}: {exc}")
     assert unbound == []
+
+
+def test_synth_scorer_is_the_segment_scorer():
+    """bench/ scores through synth.best_permutation_accuracy: an alias, never a second copy."""
+    assert synth.best_permutation_accuracy is segment.best_permutation_accuracy

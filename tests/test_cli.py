@@ -474,7 +474,7 @@ UNWANTED = {
     "import": ["inkscan.*"],
     "bands": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
     "spectra": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
-    "eval": ["inkscan.cluster", "concurrent.futures", "logging"],
+    "eval": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
     "segment": ["inkscan.synth", "concurrent.futures", "logging", "numpy.ma"],
 }
 

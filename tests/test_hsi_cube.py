@@ -322,7 +322,7 @@ FROZEN_FIELDS = {
                             {"coords": np.zeros((6, 2))}),
     "SpectrumSet.coords": (SpectrumSet, "coords", np.int32, "C", (6, 2),
                            {"vectors": np.zeros((6, 4))}),
-    "SegmentationMap.labels": (SegmentationMap, "labels", np.int32, "C", (4, 6), {"k": 1}),
+    "SegmentationMap.labels": (SegmentationMap, "labels", np.uint8, "C", (4, 6), {"k": 1}),
     "ClusterModel.centroids": (ClusterModel, "centroids", np.float64, "C", (2, 3),
                                {"labels": np.zeros(6, dtype=np.int32), "inertia": 0.0,
                                 "iterations": 1, "converged": True}),

@@ -18,11 +18,11 @@ EXPORTS = {
                 "kmeans_init"],
     "hsi_cube": ["GrayImage", "HyperCube", "band_image", "load_cube", "reference_image",
                  "write_gray_pgm"],
-    "segment": ["SegmentationMap", "build_label_map", "default_palette",
+    "segment": ["EvalReport", "SegmentationMap", "best_permutation_accuracy",
+                "build_label_map", "confusion_matrix", "default_palette",
                 "export_spectra_csv", "read_label_pgm", "render_segmentation",
                 "write_label_pgm", "write_rgb_ppm"],
-    "synth": ["EvalReport", "SynthSpec", "best_permutation_accuracy", "confusion_matrix",
-              "synth_document"],
+    "synth": ["SynthSpec", "synth_document"],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
 
@@ -64,6 +64,20 @@ def test_submodules_import_on_first_use():
         "assert 'inkscan.cluster' not in sys.modules\n"
         "assert inkscan.cluster.kmeans_fit is inkscan.kmeans_fit\n"
         "assert 'segment' in dir(inkscan) and 'load_cube' in dir(inkscan)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=subprocess_env())
+    assert result.returncode == 0, result.stderr
+
+
+def test_scoring_names_resolve_without_synth():
+    """Scoring lives beside the label maps; a fresh process that scores never loads synth."""
+    script = (
+        "import sys, numpy as np, inkscan\n"
+        "m = inkscan.SegmentationMap(np.array([[0, 1], [2, 1]]), 2)\n"
+        "assert inkscan.confusion_matrix(m, m).trace() == 4\n"
+        "assert isinstance(inkscan.best_permutation_accuracy(m, m), inkscan.EvalReport)\n"
+        "assert 'inkscan.synth' not in sys.modules\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=subprocess_env())

@@ -50,6 +50,17 @@ class TestBuildLabelMap:
         with pytest.raises(ValueError, match=r"labels must lie in 0\.\.2"):
             SegmentationMap(np.array([[3]]), 2)
 
+    def test_map_label_outside_0_to_k_raises_and_never_wraps(self):
+        # uint8 would store 256 as 0 and -1 as 255: the check runs before the cast
+        for label in (-1, 256, 511):
+            with pytest.raises(ValueError, match=r"labels must lie in 0\.\.255"):
+                SegmentationMap(np.array([[1, label]], dtype=np.int64), 255)
+
+    def test_label_map_is_uint8(self):
+        segmap = build_label_map(mask_of([[1, 0], [1, 1]]), np.array([0, 254, 3], np.int32), 255)
+        assert segmap.labels.dtype == np.uint8
+        assert segmap.labels.tolist() == [[1, 0], [255, 4]]
+
     def test_scan_order_round_trip(self, rng):
         flags = rng.random((6, 7)) < 0.5
         flags[0, 0] = True
@@ -139,10 +150,16 @@ class TestLabelPgm:
         data = (tmp_path / "l.pgm").read_bytes()
         assert set(data[-6:]) == {0, 1, 2, 3, 4, 5}
 
-    def test_k_over_255_rejected(self, tmp_path):
-        segmap = SegmentationMap(np.array([[256]]), 256)
-        with pytest.raises(TooManyClusters):
-            write_label_pgm(segmap, tmp_path / "big.pgm")
+    def test_k_over_255_rejected(self):
+        # the map itself refuses k > 255, so no such map reaches the writer
+        with pytest.raises(TooManyClusters, match="k=256"):
+            SegmentationMap(np.array([[256]]), 256)
+
+    def test_read_keeps_the_pgm_uint8_array(self, tmp_path):
+        write_label_pgm(SegmentationMap(np.array([[0, 3], [255, 1]]), 255), tmp_path / "l.pgm")
+        back = read_label_pgm(tmp_path / "l.pgm")
+        assert back.labels.dtype == np.uint8 and not back.labels.flags.writeable
+        assert back.labels.tolist() == [[0, 3], [255, 1]] and back.k == 255
 
 
 class TestPpm:

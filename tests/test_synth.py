@@ -12,15 +12,14 @@ from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from inkscan.hsi_cube import reference_image
 from inkscan import synth
 from inkscan.rng import SplitMix64, normal_block, polar_block
-from inkscan.segment import SegmentationMap, build_label_map
-from inkscan.synth import (
+from inkscan.segment import (
     EvalReport,
-    SynthSpec,
+    SegmentationMap,
     best_permutation_accuracy,
+    build_label_map,
     confusion_matrix,
-    generate_signatures,
-    synth_document,
 )
+from inkscan.synth import SynthSpec, generate_signatures, synth_document
 
 
 def independent_best_accuracy(pred, truth):
