@@ -93,6 +93,21 @@ class SpectrumSet:
         return self.vectors.shape[1]
 
 
+def levels(vectors: np.ndarray) -> np.ndarray | None:
+    """`vectors` as uint8 if it has bands and every value is an integer in 0..255.
+
+    The sign bit must be clear too (repr prints -0.0 as '-0.0'); an
+    extract_spectra row of an 8-bit cube always qualifies. Else None.
+    """
+    # compare before casting: NaN, inf and out-of-range floats fail here
+    if vectors.shape[1] == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
+        return None
+    levels = vectors.astype(np.uint8)
+    if not (levels == vectors).all() or np.signbit(vectors).any():
+        return None
+    return levels
+
+
 def threshold_binary(image: GrayImage, config: ThresholdConfig) -> ForegroundMask:
     """Binarize: foreground is pixel >= t (or pixel < t for keep-below).
 

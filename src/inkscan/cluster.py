@@ -20,19 +20,19 @@ NumPy's pairwise row-sum order (`_fold_bands`).
 k-means++ init and the empty-cluster reseed need every sample's distance
 to one point, and those distances feed sampling sums, so they must have
 the exact kernel's bits. `_sq_dist_to` takes them from one matvec,
-|x|^2 + |c|^2 - 2 c.x, where samples and point are integers of magnitude
-at most M (`_Kernel.peak`) and 4 B M^2 <= 2^53: every term and partial
-sum is then an exact integer, whatever order BLAS sums in. Any other
-point (real-valued samples, a reseed from a centroid mean) takes the
-exact kernel. k-means++ makes one such pass per pick after the first,
+|x|^2 + |c|^2 - 2 c.x, where samples and point are 8-bit levels
+(`binarize.levels`), as `extract_spectra` gives them: every term and
+partial sum is then an exact integer, whatever order BLAS sums in. Any
+other point (unit-length samples, a reseed from a centroid mean) takes
+the exact kernel. k-means++ makes one such pass per pick after the first,
 k - 1 in all: nothing reads the distances to the last pick.
 
 A Lloyd iteration uses BLAS without letting it move a bit either:
 `_assign_labels` takes a label from a BLAS matmul only where an error
 bound proves the exact kernel picks the same centroid, and asks the
 exact kernel everywhere else, so BLAS's rounding and thread count decide
-only which samples fall back; `_cluster_sums` sums integral samples by
-matmul only where every partial sum is an exact integer, which any
+only which samples fall back; `_cluster_sums` sums 8-bit samples by
+matmul, as every partial sum is then an exact integer, which any
 summation order gives, and otherwise by bincount in sample order.
 """
 
@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binarize import SpectrumSet
+from .binarize import SpectrumSet, levels
 from .errors import DimensionMismatch, InvalidSpec, TooFewSamples
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
@@ -104,8 +104,8 @@ class _Kernel:
     """The (N, B) samples of one call in fixed chunks, and facts about them.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `peak`, `sq_norms` and what is derived from them are worked out once,
-    on first use.
+    `integral`, `sq_norms` and what is derived from them are worked out
+    once, on first use.
     """
 
     def __init__(self, x: np.ndarray):
@@ -115,21 +115,11 @@ class _Kernel:
         self.spans = _chunks(x.shape[0])
 
     @cached_property
-    def peak(self) -> float | None:
-        """max|x| if every sample is a finite integer, else None; one pass a band row."""
-        x_t = self.x.T
-        whole, same = np.empty(x_t.shape[1]), np.empty(x_t.shape[1], dtype=bool)
-        for row in x_t:
-            if not np.equal(np.trunc(row, out=whole), row, out=same).all():  # NaN fails
-                return None
-        peak = max(0.0, float(x_t.max(initial=0.0)), -float(x_t.min(initial=0.0)))
-        return peak if peak < np.inf else None
-
-    @cached_property
     def integral(self) -> bool:
-        """Whether every sample is an integer and N * max|x| <= 2^53, so
-        that every partial sum of samples is exact, in any order."""
-        return self.peak is not None and self.x.shape[0] * int(self.peak) <= 2**53
+        """Whether every sample is an 8-bit level, so that every partial sum
+        of samples and every matvec term is exact, in any order."""
+        # N * 255 and 4 B 255^2 stay within 2^53 for any N, B that fit in memory
+        return all(levels(self.x[s:e]) is not None for s, e in self.spans)
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
@@ -204,13 +194,11 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
 def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
     """Squared distance of every sample to `point`, with the exact kernel's bits.
 
-    The matvec path (see the module docstring) forms only integers of
-    magnitude at most 4 B peak^2, so they are exact; like a sum of squares,
-    its result is never -0.0.
+    The matvec path (see the module docstring) takes 8-bit samples and an
+    8-bit point, so it forms only integers of magnitude at most 4 B 255^2,
+    all exact; like a sum of squares, its result is never -0.0.
     """
-    peak = kern.peak
-    if (peak is not None and 4 * kern.x.shape[1] * int(peak) ** 2 <= 2**53
-            and (np.trunc(point) == point).all() and np.abs(point).max() <= peak):
+    if kern.integral and levels(point[None, :]) is not None:
         out = point @ kern.x.T
         out *= -2.0
         out += kern.sq_norms
@@ -260,9 +248,8 @@ def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
 
     One bincount per band row and chunk adds each cluster's members in
     sample order, as NumPy sums a cluster's member rows when B > 1; chunk
-    partials are added in chunk order onto 0.0. On integral samples every
-    such sum is exact, so a one-hot matmul per chunk has the same bits
-    (adding onto 0.0 turns its -0.0 into bincount's +0.0).
+    partials are added in chunk order onto 0.0. On 8-bit samples every
+    such sum is exact, so a one-hot matmul per chunk has the same bits.
     """
     x_t = kern.x.T
     sums = np.zeros((x_t.shape[0], k))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netpbm
-from .binarize import ForegroundMask, SpectrumSet
+from .binarize import ForegroundMask, SpectrumSet, levels
 from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
@@ -202,21 +202,6 @@ def _level_table(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, xy_token.reshape(coords.shape) + 512
 
 
-def _levels(vectors: np.ndarray) -> np.ndarray | None:
-    """`vectors` as uint8 if it has bands and every value is an integer in 0..255.
-
-    The sign bit must be clear too (repr prints -0.0 as '-0.0'); an
-    extract_spectra row of an 8-bit cube always qualifies. Else None.
-    """
-    # compare before casting: NaN, inf and out-of-range floats fail here
-    if vectors.shape[1] == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
-        return None
-    levels = vectors.astype(np.uint8)
-    if not (levels == vectors).all() or np.signbit(vectors).any():
-        return None
-    return levels
-
-
 def _csv_blocks(coords: np.ndarray, vectors: np.ndarray):
     """Yield the bytes of the `x,y,b1,...,bB` rows, _BLOCK_ROWS rows at a time.
 
@@ -227,16 +212,16 @@ def _csv_blocks(coords: np.ndarray, vectors: np.ndarray):
     table = None
     for start in range(0, len(coords), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        levels = _levels(vectors[rows])
-        if levels is None:
+        block = levels(vectors[rows])
+        if block is None:
             yield "".join(f"{x},{y},{','.join(map(repr, values))}\n" for (x, y), values
                           in zip(coords[rows].tolist(), vectors[rows].tolist())).encode()
             continue
         if table is None:
             table, xy_token = _level_table(coords)
-        index = np.empty((len(levels), levels.shape[1] + 2), dtype=np.intp)
+        index = np.empty((len(block), block.shape[1] + 2), dtype=np.intp)
         index[:, :2] = xy_token[rows]
-        index[:, 2:] = levels
+        index[:, 2:] = block
         index[:, -1] += 256
         yield table[index].tobytes().translate(None, b"\0")
 

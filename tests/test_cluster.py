@@ -8,8 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from inkscan import cluster
-from inkscan.binarize import normalize_spectra
+from inkscan import cluster, segment
+from inkscan.binarize import (
+    ThresholdConfig,
+    extract_spectra,
+    levels,
+    normalize_spectra,
+    threshold_binary,
+)
 from inkscan.cluster import (
     CHUNK_SIZE,
     INIT_KMEANSPP,
@@ -26,7 +32,9 @@ from inkscan.cluster import (
     kmeans_init,
 )
 from inkscan.errors import DimensionMismatch, InvalidSpec, TooFewSamples
+from inkscan.hsi_cube import reference_image
 from inkscan.rng import SplitMix64
+from inkscan.synth import SynthSpec, synth_document
 from conftest import make_spectrum_set
 
 
@@ -528,7 +536,7 @@ class TestKernel:
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "b1", "at 2^53",
                                       "past 2^53"])
     def test_exact_sums_bit_equal_to_chunked_accumulate(self, case):
-        """Integral samples take the one-hot matmul; the bits stay bincount's."""
+        """8-bit samples take the one-hot matmul; the bits stay bincount's."""
         gen = np.random.default_rng(7)
         n, b, k = 10000, 33, 5
         if case == "8-bit":
@@ -551,9 +559,11 @@ class TestKernel:
             x[0] = peak
             labels[:] = 0
         for m in (n,) if "2^53" in case else (0, 1, 255, n):
+            # an empty set passes trivially, as does b1's first sample alone (227)
+            want_integral = case == "8-bit" or m == 0 or (case, m) == ("b1", 1)
             for layout in (np.asfortranarray(x[:m]), x[:m]):  # SpectrumSet's, and row-major
                 kern = _Kernel(layout)
-                assert kern.integral == (case != "past 2^53")
+                assert kern.integral == want_integral, (case, m)
                 sums, counts = _cluster_sums(kern, labels[:m], k)
                 want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
                 assert np.array_equal(bits(sums), bits(want_sums)), (case, m)
@@ -561,7 +571,8 @@ class TestKernel:
                 assert counts[k - 1] == 0
 
     def test_fractions_nan_and_inf_are_not_integral(self):
-        for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]):
+        for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[-0.0, 1.0]],
+                  [[-1.0, 1.0]], [[256.0, 1.0]]):
             assert not _Kernel(np.array(x)).integral
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
@@ -580,16 +591,16 @@ class TestKernel:
                                       "-inf", "negative zero", "all zero", "huge"])
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_peak_matches_per_chunk_scan(self, case, order):
-        """`peak` against its first definition: per chunk, every sample equals
-        its trunc, and max|x| is finite."""
+        """`binarize.levels`, and `_Kernel.integral` built on it, against their
+        definition scanned per chunk: every sample is an integer in 0..255
+        with its sign bit clear."""
         def oracle(x):
-            peak = 0.0
             for s in range(0, x.shape[0], CHUNK_SIZE):
                 rows = x[s:s + CHUNK_SIZE]
-                if not (np.trunc(rows) == rows).all():
+                if not ((np.trunc(rows) == rows) & (rows >= 0) & (rows <= 255)
+                        & ~np.signbit(rows)).all():
                     return None
-                peak = max(peak, float(np.abs(rows).max()))
-            return peak if peak < np.inf else None
+            return x.astype(np.uint8)
 
         gen = np.random.default_rng(len(case))
         for n, b in ((1, 1), (5, 3), (CHUNK_SIZE + 7, 33), (2 * CHUNK_SIZE, 2)):
@@ -608,21 +619,21 @@ class TestKernel:
             elif case == "huge":
                 x[spot] = -2.0**80
             x = np.asarray(x, order=order)
-            got, want = _Kernel(x).peak, oracle(x)
+            got, want = levels(x), oracle(x)
             assert (got is None) == (want is None), (case, n, b)
+            assert _Kernel(x).integral == (want is not None), (case, n, b)
             if want is not None:
-                assert bits(got) == bits(want), (case, n, b)
-        assert (got is None) == (case in ("fractional", "nan", "inf", "-inf"))
+                assert got.dtype == np.uint8 and np.array_equal(got, want), (case, n, b)
+        assert (got is None) == (case not in ("8-bit", "all zero"))
 
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "at bound",
                                       "past bound", "far past bound"])
     def test_matvec_distances_bit_equal_to_exact_kernel(self, b, case, monkeypatch):
-        """Integral samples and points with 4 B peak^2 <= 2^53 take one matvec,
-        with the exact kernel's bits; past that bound, or for a point that is
-        fractional or beyond the peak, the exact kernel itself runs. (Just
-        past the bound each formula still rounds only its last addition, so
-        the bits agree there; far past it, a matvec's would not.)"""
+        """8-bit samples and an 8-bit point take one matvec, with the exact
+        kernel's bits; any other samples or point (signed, -0.0, fractional,
+        past 255) take the exact kernel itself, which gives the same bits
+        even where a matvec's would not, far past 4 B max|x|^2 = 2^53."""
         gen = np.random.default_rng(b)
         n = CHUNK_SIZE + 1
         if case == "8-bit":
@@ -635,15 +646,15 @@ class TestKernel:
         elif case == "far past bound":
             x = gen.integers(-2**40, 2**40, size=(n, b)).astype(np.float64)
         else:
-            # rows of either sign near +-peak: opposite rows lie about 4 B peak^2 apart
+            # rows of either sign near +-peak, opposite rows about 4 B peak^2 = 2^53 apart
             peak = math.isqrt(2**53 // (4 * b)) + (case == "past bound")
             sign = gen.choice([-1.0, 1.0], size=(n, 1))
             x = sign * (peak - gen.integers(0, 4, size=(n, b)))
             x[0] = peak
         kern = _Kernel(make_spectrum_set(x).vectors)  # band-major, as a fit reads it
         top = np.abs(x).max()
-        points = [np.zeros(b), np.full(b, -0.0), x[0], x[n - 1], -x[0],  # matvec if in bound
-                  x[0] + 0.5, np.full(b, top + 1)]  # always the exact kernel
+        points = [np.zeros(b), np.full(b, -0.0), x[0], x[n - 1], -x[0],
+                  x[0] + 0.5, np.full(b, top + 1)]  # 8-bit levels for "8-bit": 0, 2 and 3
         want = [np.concatenate([_sq_dists(kern.x.T[:, s:e], p[None, :])[0]
                                 for s, e in kern.spans]) for p in points]
         calls = []
@@ -652,7 +663,8 @@ class TestKernel:
         for i, (point, w) in enumerate(zip(points, want)):
             calls.clear()
             assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(w)), i
-            assert len(calls) == (len(kern.spans) if "past" in case or i >= 5 else 0), i
+            matvec = case == "8-bit" and i in (0, 2, 3)
+            assert len(calls) == (0 if matvec else len(kern.spans)), i
 
     def test_kmeanspp_init_takes_no_exact_pass_on_8bit_samples(self, monkeypatch):
         """The matvec path cannot silently vanish: on 8-bit samples k-means++
@@ -680,3 +692,25 @@ class TestKernel:
         init_calls.clear()
         kmeans_fit(normalize_spectra(spectra, "unit-length"), params)
         assert init_calls == [4 * 3, 4 * 3]  # 4 picks after the first x 3 chunks
+
+    def test_extracted_spectra_take_every_fast_path(self, tmp_path, monkeypatch):
+        """What `segment` and `spectra` run on by default: the extract_spectra
+        set of an 8-bit page passes `levels`, so the kernel's matvec and
+        matmul and every CSV block's token table apply; its unit-length
+        rows take the exact paths."""
+        cube, _ = synth_document(SynthSpec(width=128, height=96, bands=9, ink_count=3,
+                                           noise_sigma=4.0, seed=1))
+        spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
+                                                         ThresholdConfig()))
+        assert _Kernel(spectra.vectors).integral
+        blocks = []
+
+        def spy(vectors):
+            blocks.append(levels(vectors))
+            return blocks[-1]
+
+        monkeypatch.setattr(segment, "levels", spy)
+        segment.export_spectra_csv(spectra, tmp_path / "s.csv")
+        assert len(blocks) == -(-spectra.count // segment._BLOCK_ROWS) > 1
+        assert all(block is not None for block in blocks)
+        assert not _Kernel(normalize_spectra(spectra, "unit-length").vectors).integral
