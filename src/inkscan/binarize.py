@@ -68,7 +68,9 @@ class SpectrumSet:
     Stored band-major like the cube: `vectors` is an F-contiguous (N, B)
     array, so `vectors.T` is the C-contiguous (B, N) array clustering reads.
     Rows are in row-major scan order of the source mask (y, then x), which
-    makes every downstream output deterministic.
+    makes every downstream output deterministic. Built from the (B, N)
+    uint8 rows of `gather_foreground`, `SpectrumSet(rows.T, coords)` is the
+    one promotion to float64: the cast writes the F-ordered array directly.
     """
 
     vectors: np.ndarray
@@ -157,8 +159,13 @@ def otsu_threshold(image: GrayImage) -> int:
     return best_t
 
 
-def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
-    """One spectral row per foreground pixel, in row-major scan order."""
+def gather_foreground(cube: HyperCube, mask: ForegroundMask) -> tuple[np.ndarray, np.ndarray]:
+    """The foreground's 8-bit band rows (B, N) and its (N, 2) int32 x,y coords.
+
+    Pixels are in row-major scan order. Neither array shares the cube's
+    buffer, so the cube can be freed before `SpectrumSet(rows.T, coords)`
+    promotes the rows to float64.
+    """
     if (mask.height, mask.width) != (cube.height, cube.width):
         raise DimensionMismatch(
             f"mask is {mask.width}x{mask.height}, cube is {cube.width}x{cube.height}"
@@ -166,9 +173,20 @@ def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
     pixels = np.flatnonzero(mask.flags)  # row-major: y ascending, then x
     if pixels.size == 0:
         raise EmptyForeground("mask has no foreground pixels")
-    band_rows = np.take(cube.data.reshape(cube.bands, -1), pixels, axis=1).astype(np.float64)
+    rows = np.take(cube.data.reshape(cube.bands, -1), pixels, axis=1)
     ys, xs = np.divmod(pixels, mask.width)
-    return SpectrumSet(band_rows.T, np.column_stack([xs, ys]))
+    return rows, np.column_stack([xs, ys]).astype(np.int32)
+
+
+def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
+    """One spectral row per foreground pixel, in row-major scan order.
+
+    The caller's cube stays alive while the float64 rows are built; the CLI
+    instead calls `gather_foreground`, lets the cube go, and only then
+    promotes the 8-bit rows through `SpectrumSet`.
+    """
+    rows, coords = gather_foreground(cube, mask)
+    return SpectrumSet(rows.T, coords)
 
 
 def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:

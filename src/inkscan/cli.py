@@ -12,6 +12,9 @@ checks the rest. So a bad invocation exits 2 before any work starts.
 Each command imports only the modules it runs: the parser needs
 `binarize`, `hsi_cube` and `segment` (which scores label maps too),
 `segment` adds `cluster`, and only `synth` loads `synth`.
+`spectra` and `segment` gather the foreground's 8-bit band rows, let the
+cube go, and only then promote the rows to float64, so the cube and the
+float64 spectra are never alive together.
 Runtime/data failures, running out of memory included, exit 1 with a
 one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -172,7 +175,10 @@ def _foreground(args):
         except DegenerateHistogram:
             print(f"otsu degenerate; falling back to t={config.value}", file=sys.stderr)
     mask = binarize.threshold_binary(ref, config)
-    return mask, binarize.normalize_spectra(binarize.extract_spectra(cube, mask), args.normalize)
+    rows, coords = binarize.gather_foreground(cube, mask)
+    del cube, ref  # under band:<i>, ref is a view that keeps the whole cube alive
+    spectra = binarize.SpectrumSet(rows.T, coords)
+    return mask, binarize.normalize_spectra(spectra, args.normalize)
 
 
 def cmd_bands(args) -> int:

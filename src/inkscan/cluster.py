@@ -270,8 +270,9 @@ def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarra
     buf = np.empty((min(CHUNK_SIZE, x.shape[0]), x.shape[1]))  # summed row-major
     for s, e in _chunks(x.shape[0]):
         diff = buf[: e - s]
-        diff.T[...] = x.T[:, s:e]
-        diff -= centroids[labels[s:e]]
+        # labels are range-checked; "clip" lets take write to `out` unbuffered
+        np.take(centroids, labels[s:e], axis=0, out=diff, mode="clip")
+        np.subtract(x[s:e], diff, out=diff)
         diff *= diff
         total += float(diff.sum())
     return total

@@ -3,7 +3,7 @@
 A cube is W x H x B reflectance intensities stored band-major as a
 (bands, height, width) uint8 array. Band index 0 internally is "band 1"
 at the CLI; all public band arguments are 1-based. Intensities stay
-8-bit here; `extract_spectra` promotes the foreground's to float64.
+8-bit here; `binarize.SpectrumSet` promotes the foreground's to float64.
 """
 
 import re

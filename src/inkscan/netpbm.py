@@ -74,8 +74,11 @@ def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     if width < 1 or height < 1:
         raise IoFailure(f"refusing to write {width}x{height} image")
     header = b"%s\n%d %d\n255\n" % (magic, width, height)
+    raster = np.ascontiguousarray(pixels, dtype=np.uint8)
     try:
-        Path(path).write_bytes(header + np.ascontiguousarray(pixels, dtype=np.uint8).tobytes())
+        with open(path, "wb") as out:
+            out.write(header)
+            out.write(raster)  # from the array's own buffer: no bytes copy of the raster
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

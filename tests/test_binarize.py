@@ -12,6 +12,7 @@ from inkscan.binarize import (
     SpectrumSet,
     ThresholdConfig,
     extract_spectra,
+    gather_foreground,
     normalize_spectra,
     otsu_threshold,
     threshold_binary,
@@ -168,13 +169,30 @@ class TestExtractSpectra:
 
     def test_empty_mask_raises(self):
         cube = HyperCube(np.zeros((2, 3, 3), dtype=np.uint8))
-        with pytest.raises(EmptyForeground):
-            extract_spectra(cube, ForegroundMask(np.zeros((3, 3), dtype=bool)))
+        for step in (gather_foreground, extract_spectra):
+            with pytest.raises(EmptyForeground) as raised:
+                step(cube, ForegroundMask(np.zeros((3, 3), dtype=bool)))
+            assert str(raised.value) == "mask has no foreground pixels"
 
     def test_mask_dimension_mismatch(self):
         cube = HyperCube(np.zeros((2, 3, 3), dtype=np.uint8))
-        with pytest.raises(DimensionMismatch):
-            extract_spectra(cube, ForegroundMask(np.ones((2, 3), dtype=bool)))
+        for step in (gather_foreground, extract_spectra):
+            with pytest.raises(DimensionMismatch) as raised:
+                step(cube, ForegroundMask(np.ones((2, 3), dtype=bool)))
+            assert str(raised.value) == "mask is 3x2, cube is 3x3"
+
+    def test_gathered_rows_are_8_bit_and_own_their_memory(self, rng):
+        """The gather step's rows and coords share no byte with the cube, so
+        the cube can be freed before SpectrumSet promotes the rows."""
+        cube = HyperCube(rng.integers(0, 256, size=(7, 6, 5)).astype(np.uint8))
+        mask = ForegroundMask(rng.random((6, 5)) < 0.5)
+        rows, coords = gather_foreground(cube, mask)
+        assert (rows.dtype, rows.shape) == (np.uint8, (7, mask.count))
+        assert (coords.dtype, coords.shape) == (np.int32, (mask.count, 2))
+        assert not np.shares_memory(rows, cube.data)
+        spectra = extract_spectra(cube, mask)
+        assert spectra.vectors.tobytes("A") == rows.T.astype(np.float64).tobytes("A")
+        assert spectra.coords.tobytes() == coords.tobytes()
 
     def test_spectrum_set_rejects_bad_coords(self):
         with pytest.raises(ValueError, match=r"\(N, 2\) coords"):

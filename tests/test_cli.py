@@ -3,14 +3,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
 
 from conftest import avx512_off_env, subprocess_env
-from inkscan import binarize, cluster, netpbm, synth
-from inkscan.cli import build_parser, main
+from inkscan import binarize, cluster, hsi_cube, netpbm, synth
+from inkscan.cli import _foreground, build_parser, main
 from inkscan.segment import read_label_pgm
 
 
@@ -172,6 +173,50 @@ class TestSpectra:
         captured = capsys.readouterr()
         assert "falling back" in captured.err
         assert "pixels=36 bands=1" in captured.out  # constant 90 >= 40
+
+
+@pytest.fixture(scope="module")
+def page_bands(tmp_path_factory):
+    out = tmp_path_factory.mktemp("page")
+    assert main(["synth", "--out-dir", str(out), "--width", "256", "--height", "256",
+                 "--bands", "33", "--inks", "5", "--noise-sigma", "8", "--seed", "5"]) == 0
+    return out / "bands"
+
+
+FOREGROUND_FLAGS = pytest.mark.parametrize(
+    "flags", [["--reference", "mean"], ["--reference", "band:3"], ["--otsu"]],
+    ids=["mean", "band3", "otsu"])
+
+
+class TestForeground:
+    """`spectra` and `segment` gather the 8-bit rows, drop the cube, then promote."""
+
+    @FOREGROUND_FLAGS
+    def test_cube_and_float_spectra_never_coexist(self, page_bands, flags, capsys):
+        """The traced peak stays below the cube plus the float64 spectra, so
+        neither the cube nor a band reference viewing it outlives the gather."""
+        args = build_parser().parse_args(["spectra", str(page_bands), *flags])
+        tracemalloc.start()
+        try:
+            _, spectra = _foreground(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cube = hsi_cube.load_cube(page_bands)
+        assert peak < cube.data.nbytes + spectra.vectors.nbytes
+
+    @FOREGROUND_FLAGS
+    def test_spectra_equal_extract_spectra(self, page_bands, flags, capsys):
+        mask, spectra = _foreground(build_parser().parse_args(["spectra", str(page_bands),
+                                                               *flags]))
+        want = binarize.extract_spectra(hsi_cube.load_cube(page_bands), mask)
+        for got in (spectra, want):
+            assert got.vectors.dtype == np.float64 and got.vectors.flags.f_contiguous
+            assert not got.vectors.flags.writeable
+            assert got.coords.dtype == np.int32
+        assert spectra.vectors.shape == want.vectors.shape
+        assert spectra.vectors.tobytes("A") == want.vectors.tobytes("A")
+        assert spectra.coords.tobytes() == want.coords.tobytes()
 
 
 class TestSegment:

@@ -4,6 +4,7 @@ kernel against the broadcast formula it replaces, bit for bit."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from inkscan.cluster import (
     _Kernel,
     _assign_labels,
     _cluster_sums,
+    _inertia_fixed_order,
     _sq_dist_to,
     _sq_dists,
     assign,
@@ -420,6 +422,22 @@ class TestAssignAndInertia:
     def test_inertia_label_count_mismatch(self):
         with pytest.raises(DimensionMismatch, match="3 labels for 2 samples"):
             inertia(np.zeros((2, 2)), make_spectrum_set(np.zeros((2, 2))), np.zeros(3, int))
+
+    def test_inertia_pass_holds_one_chunk_buffer(self):
+        """Each chunk's centroids are gathered into the pass's one (CHUNK_SIZE, B)
+        buffer and the samples subtracted in place, with no temporary beside it."""
+        gen = np.random.default_rng(7)
+        n, b, k = 2 * CHUNK_SIZE + 5, 33, 5
+        x = make_spectrum_set(gen.integers(0, 256, size=(n, b))).vectors
+        centroids = gen.random((k, b)) * 255
+        labels = gen.integers(0, k, size=n)
+        tracemalloc.start()
+        try:
+            _inertia_fixed_order(x, centroids, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * CHUNK_SIZE * b * x.itemsize
 
 
 class TestParams:

@@ -1,6 +1,8 @@
 """Byte-level checks of the PGM/PPM codecs against an independent
 struct-style writer and reader written inline here."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,19 @@ def test_writers_reject_wrong_ndim(tmp_path):
     with pytest.raises(IoFailure, match=r"PPM needs a \(h, w, 3\) array"):
         netpbm.write_ppm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "a.ppm")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_copy_no_raster(tmp_path):
+    """Each writer sends the array's own buffer after the header."""
+    for write, pixels in ((netpbm.write_pgm, np.zeros((256, 256), dtype=np.uint8)),
+                          (netpbm.write_ppm, np.zeros((256, 256, 3), dtype=np.uint8))):
+        tracemalloc.start()
+        try:
+            write(pixels, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pixels.nbytes // 4
 
 
 def test_write_into_missing_directory_is_io_failure(tmp_path):
