@@ -5,7 +5,7 @@ a pixel at or above the threshold is foreground, everything below is
 background. The opposite polarity handles conventional dark-ink scans.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,12 +71,18 @@ class SpectrumSet:
     makes every downstream output deterministic. Built from the (B, N)
     uint8 rows of `gather_foreground`, `SpectrumSet(rows.T, coords)` is the
     one promotion to float64: the cast writes the F-ordered array directly.
+
+    `eight_bit`, derived here and never passed, says whether the set has
+    bands and every value is an 8-bit level: uint8 input is so by type, any
+    other input is scanned once. Clustering and the CSV export read it.
     """
 
     vectors: np.ndarray
     coords: np.ndarray
+    eight_bit: bool = field(init=False)
 
     def __post_init__(self):
+        uint8 = getattr(self.vectors, "dtype", None) == np.uint8
         vectors = freeze_array(self, "vectors", np.float64, 2, order="F")
         coords = freeze_array(self, "coords", np.int32, 2)
         if coords.shape[1] != 2:
@@ -85,6 +91,7 @@ class SpectrumSet:
             raise ValueError(
                 f"{vectors.shape[0]} spectra but {coords.shape[0]} coordinates"
             )
+        object.__setattr__(self, "eight_bit", vectors.shape[1] > 0 and (uint8 or _levels(vectors)))
 
     @property
     def count(self) -> int:
@@ -95,19 +102,16 @@ class SpectrumSet:
         return self.vectors.shape[1]
 
 
-def levels(vectors: np.ndarray) -> np.ndarray | None:
-    """`vectors` as uint8 if it has bands and every value is an integer in 0..255.
-
-    The sign bit must be clear too (repr prints -0.0 as '-0.0'); an
-    extract_spectra row of an 8-bit cube always qualifies. Else None.
-    """
-    # compare before casting: NaN, inf and out-of-range floats fail here
-    if vectors.shape[1] == 0 or not ((vectors >= 0) & (vectors <= 255)).all():
-        return None
-    levels = vectors.astype(np.uint8)
-    if not (levels == vectors).all() or np.signbit(vectors).any():
-        return None
-    return levels
+def _levels(vectors: np.ndarray) -> bool:
+    """Whether every value is an integer in 0..255 with its sign bit clear
+    (repr prints -0.0 as '-0.0'), scanned 4,096 rows at a time."""
+    for start in range(0, len(vectors), 4096):
+        rows = vectors[start : start + 4096]
+        # compare before casting: NaN, inf and out-of-range floats fail here
+        if (not ((rows >= 0) & (rows <= 255)).all() or not (rows.astype(np.uint8) == rows).all()
+                or np.signbit(rows).any()):
+            return False
+    return True
 
 
 def threshold_binary(image: GrayImage, config: ThresholdConfig) -> ForegroundMask:

@@ -4,7 +4,9 @@ Everything here is reproducible bit-for-bit from the seed, on the
 calling thread:
 
 - initialization draws from the package's SplitMix64 stream;
-- assignment ties go to the lowest centroid index;
+- assignment ties go to the lowest centroid index, and a sample at NaN
+  distance from some centroid goes to the first such (NumPy's argmin
+  rule; only a non-finite centroid can make that a non-minimum);
 - samples are processed in fixed-size chunks (CHUNK_SIZE) and all
   reductions combine chunks in index order;
 - restarts run with seeds seed, seed+1, ... and the lowest-inertia model
@@ -17,15 +19,16 @@ stores the samples: B band rows minus the k centroids make one (B, k, m)
 block per call, squared in place, and the band planes are added in
 NumPy's pairwise row-sum order (`_fold_bands`).
 
-k-means++ init and the empty-cluster reseed need every sample's distance
-to one point, and those distances feed sampling sums, so they must have
-the exact kernel's bits. `_sq_dist_to` takes them from one matvec,
-|x|^2 + |c|^2 - 2 c.x, where samples and point are 8-bit levels
-(`binarize.levels`), as `extract_spectra` gives them: every term and
-partial sum is then an exact integer, whatever order BLAS sums in. Any
-other point (unit-length samples, a reseed from a centroid mean) takes
-the exact kernel. k-means++ makes one such pass per pick after the first,
-k - 1 in all: nothing reads the distances to the last pick.
+k-means++ init needs every sample's distance to one picked sample, and
+those distances feed sampling sums, so they must have the exact kernel's
+bits. On a set that `SpectrumSet.eight_bit` marks, as `extract_spectra`
+gives them, `_sq_dist_to` takes them from one matvec, |x|^2 + |c|^2 - 2 c.x:
+sample and point are then 8-bit levels, so every term and partial sum is
+an exact integer, whatever order BLAS sums in. Any other set (unit-length
+samples) takes the exact kernel, as does the empty-cluster reseed, which
+measures from a centroid (`_exact_sq_dist_to`). k-means++ makes one such
+pass per pick after the first, k - 1 in all: nothing reads the distances
+to the last pick.
 
 A Lloyd iteration uses BLAS without letting it move a bit either:
 `_assign_labels` takes a label from a BLAS matmul only where an error
@@ -41,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .binarize import SpectrumSet, levels
+from .binarize import SpectrumSet
 from .errors import DimensionMismatch, InvalidSpec, TooFewSamples
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
@@ -104,22 +107,18 @@ class _Kernel:
     """The (N, B) samples of one call in fixed chunks, and facts about them.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `integral`, `sq_norms` and what is derived from them are worked out
-    once, on first use.
+    `integral` is the set's `eight_bit`: every partial sum of samples and
+    every matvec term is then exact, in any order. `sq_norms` and what is
+    derived from it are worked out once, on first use.
     """
 
-    def __init__(self, x: np.ndarray):
-        if not x.shape[1]:
+    def __init__(self, spectra: SpectrumSet):
+        if not spectra.bands:
             raise DimensionMismatch("samples have no bands")
-        self.x = x
-        self.spans = _chunks(x.shape[0])
-
-    @cached_property
-    def integral(self) -> bool:
-        """Whether every sample is an 8-bit level, so that every partial sum
-        of samples and every matvec term is exact, in any order."""
+        self.x = spectra.vectors
+        self.spans = _chunks(spectra.count)
         # N * 255 and 4 B 255^2 stay within 2^53 for any N, B that fit in memory
-        return all(levels(self.x[s:e]) is not None for s, e in self.spans)
+        self.integral = spectra.eight_bit
 
     @cached_property
     def sq_norms(self) -> np.ndarray:
@@ -178,32 +177,25 @@ def _fold_bands(t: np.ndarray, lo: int, n: int) -> None:
         t[lo] += t[lo + half]
 
 
-def _nearest(d2: np.ndarray) -> np.ndarray:
-    """Row of the smallest entry in each column; ties to the lowest row.
+def _sq_dist_to(kern: _Kernel, i: int) -> np.ndarray:
+    """Squared distance of every sample to sample i, with the exact kernel's bits.
 
-    Overwrites d2[0] with the column minima.
+    On an 8-bit set the matvec path (see the module docstring) forms only
+    integers of magnitude at most 4 B 255^2, all exact; like a sum of
+    squares, its result is never -0.0. Any other set takes the exact kernel.
     """
-    best = d2[0]
-    labels = np.zeros(d2.shape[1], dtype=np.intp)
-    for c in range(1, d2.shape[0]):
-        labels[d2[c] < best] = c
-        np.minimum(best, d2[c], out=best)
-    return labels
+    point = kern.x[i]
+    if not kern.integral:
+        return _exact_sq_dist_to(kern, point)
+    out = point @ kern.x.T
+    out *= -2.0
+    out += kern.sq_norms
+    out += point @ point
+    return out
 
 
-def _sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
-    """Squared distance of every sample to `point`, with the exact kernel's bits.
-
-    The matvec path (see the module docstring) takes 8-bit samples and an
-    8-bit point, so it forms only integers of magnitude at most 4 B 255^2,
-    all exact; like a sum of squares, its result is never -0.0.
-    """
-    if kern.integral and levels(point[None, :]) is not None:
-        out = point @ kern.x.T
-        out *= -2.0
-        out += kern.sq_norms
-        out += point @ point
-        return out
+def _exact_sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
+    """Squared distance of every sample to `point` by the exact kernel."""
     out = np.empty(kern.x.shape[0])
     for s, e in kern.spans:
         out[s:e] = _sq_dists(kern.x.T[:, s:e], point[None, :])[0]
@@ -239,7 +231,7 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
         best += (kern.norms[s:e] + c_max) ** 2 * scale + tiny
         unsure = np.flatnonzero((d <= best).sum(axis=0) != 1)
         if unsure.size:
-            lab[unsure] = _nearest(_sq_dists(kern.x.T[:, s + unsure], centroids))
+            lab[unsure] = _sq_dists(kern.x.T[:, s + unsure], centroids).argmin(axis=0)
         labels[s:e] = lab
 
 
@@ -287,7 +279,7 @@ def kmeans_init(spectra: SpectrumSet, params: KMeansParams) -> np.ndarray:
     point duplicates a chosen centroid (zero total mass), the next index
     is drawn uniformly from the unchosen ones.
     """
-    return _init_centroids(_Kernel(spectra.vectors), params.k, params.init, params.seed)
+    return _init_centroids(_Kernel(spectra), params.k, params.init, params.seed)
 
 
 def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
@@ -304,7 +296,7 @@ def _init_centroids(kern: _Kernel, k: int, init: str, seed: int) -> np.ndarray:
     chosen = [rng.below(n)]
     d2 = np.full(n, np.inf)
     while len(chosen) < k:
-        np.minimum(d2, _sq_dist_to(kern, x[chosen[-1]]), out=d2)
+        np.minimum(d2, _sq_dist_to(kern, chosen[-1]), out=d2)
         total = float(d2.sum())
         if total > 0.0:
             target = rng.next_double() * total
@@ -332,7 +324,7 @@ def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.
 
     Runs on the calling thread; `workers` is accepted and changes nothing.
     """
-    kern = _Kernel(spectra.vectors)
+    kern = _Kernel(spectra)
     centroids = _as_centroids(centroids, kern.x)
     labels = np.empty(kern.x.shape[0], dtype=np.int32)
     _assign_labels(kern, centroids, labels)
@@ -368,7 +360,7 @@ def kmeans_fit(
     Runs on the calling thread; `workers` is accepted and changes nothing.
     """
     best = None  # _init_centroids rejects too few samples
-    kern = _Kernel(spectra.vectors)
+    kern = _Kernel(spectra)
     for restart in range(params.restarts):
         model = _fit_once(kern, params, params.seed + restart)
         if best is None or model.inertia < best.inertia:
@@ -393,7 +385,7 @@ def _fit_once(kern, params, seed):
         new_centroids[occupied] = sums[occupied] / counts[occupied, None]
         for c in np.nonzero(~occupied)[0]:  # ascending cluster index
             # first maximum: the lowest sample index among the farthest
-            new_centroids[c] = x[int(_sq_dist_to(kern, centroids[c]).argmax())]
+            new_centroids[c] = x[int(_exact_sq_dist_to(kern, centroids[c]).argmax())]
 
         moved = new_centroids - centroids
         max_disp2 = float((moved * moved).sum(axis=1).max())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netpbm
-from .binarize import ForegroundMask, SpectrumSet, levels
+from .binarize import ForegroundMask, SpectrumSet
 from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
@@ -202,26 +202,29 @@ def _level_table(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, xy_token.reshape(coords.shape) + 512
 
 
-def _csv_blocks(coords: np.ndarray, vectors: np.ndarray):
+def _csv_blocks(spectra: SpectrumSet, rows: np.ndarray | None):
     """Yield the bytes of the `x,y,b1,...,bB` rows, _BLOCK_ROWS rows at a time.
 
-    A block of 8-bit rows is gathered from _level_table's tokens and the
-    padding deleted; any other block is formatted value by value with
+    `rows` holds the ascending indices of the rows to write, or is None
+    for all of them; each block's rows are gathered as it is written. An
+    8-bit set's blocks are gathered from _level_table's tokens and the
+    padding deleted; any other set's are formatted value by value with
     repr. Both give the bytes of the per-value repr rows.
     """
-    table = None
-    for start in range(0, len(coords), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = levels(vectors[rows])
-        if block is None:
+    if spectra.eight_bit:
+        table, xy_token = _level_table(spectra.coords)
+    for start in range(0, spectra.count if rows is None else len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        if rows is not None:
+            block = rows[block]
+        vectors = spectra.vectors[block]
+        if not spectra.eight_bit:
             yield "".join(f"{x},{y},{','.join(map(repr, values))}\n" for (x, y), values
-                          in zip(coords[rows].tolist(), vectors[rows].tolist())).encode()
+                          in zip(spectra.coords[block].tolist(), vectors.tolist())).encode()
             continue
-        if table is None:
-            table, xy_token = _level_table(coords)
-        index = np.empty((len(block), block.shape[1] + 2), dtype=np.intp)
-        index[:, :2] = xy_token[rows]
-        index[:, 2:] = block
+        index = np.empty((len(vectors), spectra.bands + 2), dtype=np.intp)
+        index[:, :2] = xy_token[block]
+        index[:, 2:] = vectors  # 8-bit levels, so the cast is exact
         index[:, -1] += 256
         yield table[index].tobytes().translate(None, b"\0")
 
@@ -245,17 +248,15 @@ def export_spectra_csv(
     if sample_limit is not None and sample_limit < 0:
         raise ValueError("sample_limit must be >= 0")
     if sample_limit is None or sample_limit >= n:
-        rows = slice(None)
+        rows = None
     else:
-        rows = sorted(SplitMix64(seed).sample_indices(n, sample_limit))
-
-    coords, vectors = spectra.coords[rows], spectra.vectors[rows]
+        rows = np.sort(SplitMix64(seed).sample_indices(n, sample_limit))
     header = ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)])
     try:
         with open(path, "wb") as out:
             out.write(header.encode() + b"\n")
-            for block in _csv_blocks(coords, vectors):
+            for block in _csv_blocks(spectra, rows):
                 out.write(block)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-    return len(coords)
+    return n if rows is None else len(rows)

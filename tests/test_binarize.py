@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from inkscan import binarize
 from inkscan.binarize import (
     KEEP_AT_OR_ABOVE,
     KEEP_BELOW,
@@ -193,6 +196,20 @@ class TestExtractSpectra:
         spectra = extract_spectra(cube, mask)
         assert spectra.vectors.tobytes("A") == rows.T.astype(np.float64).tobytes("A")
         assert spectra.coords.tobytes() == coords.tobytes()
+
+    def test_uint8_rows_are_eight_bit_without_a_scan(self, rng, monkeypatch):
+        """uint8 input is 8-bit by type; a set with no bands never is. The
+        field is derived: a caller can neither pass nor set it."""
+        monkeypatch.setattr(binarize, "_levels", lambda vectors: pytest.fail("scanned"))
+        rows = rng.integers(0, 256, size=(7, 20)).astype(np.uint8)
+        spectra = SpectrumSet(rows.T, np.zeros((20, 2)))
+        assert spectra.eight_bit is True
+        assert spectra.vectors.tobytes("A") == rows.T.astype(np.float64).tobytes("A")
+        assert SpectrumSet(np.zeros((3, 0), dtype=np.uint8), np.zeros((3, 2))).eight_bit is False
+        with pytest.raises(TypeError):
+            SpectrumSet(rows.T, np.zeros((20, 2)), eight_bit=False)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spectra.eight_bit = False
 
     def test_spectrum_set_rejects_bad_coords(self):
         with pytest.raises(ValueError, match=r"\(N, 2\) coords"):

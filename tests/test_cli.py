@@ -505,6 +505,17 @@ class TestEval:
         code = main(["eval", str(tmp_path / "small.pgm"), str(synth_dir / "truth.pgm")])
         assert code == 1
 
+    def test_more_than_8_labels_exits_1_with_one_line(self, tmp_path, capsys):
+        doc = tmp_path / "doc"
+        assert main(["synth", "--out-dir", str(doc), "--width", "60", "--height", "48",
+                     "--bands", "4", "--inks", "9", "--coverage", "0.5", "--seed", "3"]) == 0
+        assert read_label_pgm(doc / "truth.pgm").k == 9
+        capsys.readouterr()
+        code = main(["eval", str(doc / "truth.pgm"), str(doc / "truth.pgm")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "inkscan eval: exhaustive search handles k <= 8\n")
+
     def test_json_summary(self, synth_dir, capsys):
         code = main(["eval", str(synth_dir / "truth.pgm"), str(synth_dir / "truth.pgm"),
                      "--json"])

@@ -9,11 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from inkscan import cluster, segment
+from inkscan import binarize, cluster, segment
 from inkscan.binarize import (
+    SpectrumSet,
     ThresholdConfig,
     extract_spectra,
-    levels,
     normalize_spectra,
     threshold_binary,
 )
@@ -25,6 +25,7 @@ from inkscan.cluster import (
     _Kernel,
     _assign_labels,
     _cluster_sums,
+    _exact_sq_dist_to,
     _inertia_fixed_order,
     _sq_dist_to,
     _sq_dists,
@@ -477,7 +478,7 @@ class TestKernel:
             x = gen.normal(size=(n, b)) * 37.3 + 11.1  # row-major, as the formula sums
             x_t = np.asfortranarray(x).T
             centroids = gen.normal(size=(3, b)) * 37.3
-            for s, e in _Kernel(x).spans:
+            for s, e in _Kernel(make_spectrum_set(x)).spans:
                 got = _sq_dists(x_t[:, s:e], centroids)
                 want = broadcast_sq_dists(x[s:e], centroids).T
                 assert np.array_equal(bits(got), bits(want)), (b, n, s)
@@ -490,12 +491,11 @@ class TestKernel:
     def test_sq_dist_to_bit_equal_at_any_worker_count(self, b):
         gen = np.random.default_rng(100 + b)
         x = gen.normal(size=(10000, b)) * 5.5
-        point = x[17]
-        diff = x - point
+        diff = x - x[17]
         want = (diff * diff).sum(axis=1)
-        kern = _Kernel(x)
+        kern = _Kernel(make_spectrum_set(x))
         for _ in range(2):  # a second pass on the same kernel keeps the bits
-            assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(want))
+            assert np.array_equal(bits(_sq_dist_to(kern, 17)), bits(want))
 
     def test_integer_ties_go_to_lowest_index(self, rng):
         points = rng.integers(-3, 4, size=(5000, 4)).astype(np.float64)
@@ -508,6 +508,13 @@ class TestKernel:
             assert got.tolist() == expected
         assert set(expected) <= {0, 1, 2}
 
+    def test_nan_distance_goes_to_first_nan_centroid(self):
+        """A sample at NaN distance from some centroid takes the first such
+        centroid, as NumPy's argmin does, even past a finite distance."""
+        spectra = make_spectrum_set([[1.0, 1.0], [0.0, 0.0], [np.nan, 0.0]])
+        centroids = [[0.0, 0.0], [np.nan, 0.0], [1.0, 1.0], [np.nan, 1.0]]
+        assert assign(centroids, spectra).tolist() == [1, 1, 0]
+
     @pytest.mark.parametrize("n", [1, 4095, 4097, 10000])
     @pytest.mark.parametrize("b", [1, 2, 33])
     def test_fused_sums_bit_equal_to_chunked_accumulate(self, n, b):
@@ -516,7 +523,7 @@ class TestKernel:
         # the last centroid sits far away, so its cluster stays empty
         centroids = np.vstack([gen.normal(size=(4, b)) * 19.7, np.full((1, b), 1e6)])
         labels = np.empty(n, dtype=np.int32)
-        kern = _Kernel(x)
+        kern = _Kernel(make_spectrum_set(x))
         _assign_labels(kern, centroids, labels)
         sums, counts = _cluster_sums(kern, labels, 5)
         assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
@@ -579,8 +586,8 @@ class TestKernel:
         for m in (n,) if "2^53" in case else (0, 1, 255, n):
             # an empty set passes trivially, as does b1's first sample alone (227)
             want_integral = case == "8-bit" or m == 0 or (case, m) == ("b1", 1)
-            for layout in (np.asfortranarray(x[:m]), x[:m]):  # SpectrumSet's, and row-major
-                kern = _Kernel(layout)
+            for layout in (np.asfortranarray(x[:m]), x[:m]):  # both stored band-major
+                kern = _Kernel(make_spectrum_set(layout))
                 assert kern.integral == want_integral, (case, m)
                 sums, counts = _cluster_sums(kern, labels[:m], k)
                 want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
@@ -591,7 +598,7 @@ class TestKernel:
     def test_fractions_nan_and_inf_are_not_integral(self):
         for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[-0.0, 1.0]],
                   [[-1.0, 1.0]], [[256.0, 1.0]]):
-            assert not _Kernel(np.array(x)).integral
+            assert not _Kernel(make_spectrum_set(x)).integral
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
         points = rng.normal(size=(10000, 6)) * 3.0
@@ -609,16 +616,18 @@ class TestKernel:
                                       "-inf", "negative zero", "all zero", "huge"])
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_peak_matches_per_chunk_scan(self, case, order):
-        """`binarize.levels`, and `_Kernel.integral` built on it, against their
-        definition scanned per chunk: every sample is an integer in 0..255
-        with its sign bit clear."""
+        """`SpectrumSet.eight_bit`, which `_Kernel.integral` takes, against its
+        definition scanned per chunk: the set has bands, and every sample is
+        an integer in 0..255 with its sign bit clear."""
         def oracle(x):
+            if not x.shape[1]:
+                return False
             for s in range(0, x.shape[0], CHUNK_SIZE):
                 rows = x[s:s + CHUNK_SIZE]
                 if not ((np.trunc(rows) == rows) & (rows >= 0) & (rows <= 255)
                         & ~np.signbit(rows)).all():
-                    return None
-            return x.astype(np.uint8)
+                    return False
+            return True
 
         gen = np.random.default_rng(len(case))
         for n, b in ((1, 1), (5, 3), (CHUNK_SIZE + 7, 33), (2 * CHUNK_SIZE, 2)):
@@ -637,21 +646,24 @@ class TestKernel:
             elif case == "huge":
                 x[spot] = -2.0**80
             x = np.asarray(x, order=order)
-            got, want = levels(x), oracle(x)
-            assert (got is None) == (want is None), (case, n, b)
-            assert _Kernel(x).integral == (want is not None), (case, n, b)
-            if want is not None:
-                assert got.dtype == np.uint8 and np.array_equal(got, want), (case, n, b)
-        assert (got is None) == (case not in ("8-bit", "all zero"))
+            spectra = SpectrumSet(x, np.zeros((n, 2)))
+            got = spectra.eight_bit
+            assert got == oracle(x), (case, n, b)
+            assert _Kernel(spectra).integral == got, (case, n, b)
+        assert got == (case in ("8-bit", "all zero"))
+        no_bands = np.asarray(np.zeros((3, 0)), order=order)
+        assert not SpectrumSet(no_bands, np.zeros((3, 2))).eight_bit and not oracle(no_bands)
 
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "at bound",
                                       "past bound", "far past bound"])
     def test_matvec_distances_bit_equal_to_exact_kernel(self, b, case, monkeypatch):
-        """8-bit samples and an 8-bit point take one matvec, with the exact
-        kernel's bits; any other samples or point (signed, -0.0, fractional,
-        past 255) take the exact kernel itself, which gives the same bits
-        even where a matvec's would not, far past 4 B max|x|^2 = 2^53."""
+        """On an 8-bit set the distances to any sample take one matvec, with
+        the exact kernel's bits; any other set (signed, -0.0, past 255) takes
+        the exact kernel itself, which gives the same bits even where a
+        matvec's would not, far past 4 B max|x|^2 = 2^53. A reseed measures
+        from a centroid by the exact kernel, always: from an integral-valued
+        centroid of an 8-bit set, with the matvec's bits."""
         gen = np.random.default_rng(b)
         n = CHUNK_SIZE + 1
         if case == "8-bit":
@@ -669,20 +681,34 @@ class TestKernel:
             sign = gen.choice([-1.0, 1.0], size=(n, 1))
             x = sign * (peak - gen.integers(0, 4, size=(n, b)))
             x[0] = peak
-        kern = _Kernel(make_spectrum_set(x).vectors)  # band-major, as a fit reads it
+        kern = _Kernel(make_spectrum_set(x))  # band-major, as a fit reads it
+        assert kern.integral == (case == "8-bit")
+
+        def exact(point):
+            return np.concatenate([_sq_dists(kern.x.T[:, s:e], point[None, :])[0]
+                                   for s, e in kern.spans])
+
+        samples = [0, 1, n - 1, int(gen.integers(n))]
         top = np.abs(x).max()
-        points = [np.zeros(b), np.full(b, -0.0), x[0], x[n - 1], -x[0],
-                  x[0] + 0.5, np.full(b, top + 1)]  # 8-bit levels for "8-bit": 0, 2 and 3
-        want = [np.concatenate([_sq_dists(kern.x.T[:, s:e], p[None, :])[0]
-                                for s, e in kern.spans]) for p in points]
+        points = [np.zeros(b), np.full(b, -0.0), x[0], -x[0], x[0] + 0.5, np.full(b, top + 1),
+                  np.round(x.mean(axis=0))]
+        want_samples = [exact(x[i]) for i in samples]
+        want_points = [exact(p) for p in points]
         calls = []
         monkeypatch.setattr(cluster, "_sq_dists",
                             lambda *args: calls.append(1) or _sq_dists(*args))
-        for i, (point, w) in enumerate(zip(points, want)):
+        for i, w in zip(samples, want_samples):
             calls.clear()
-            assert np.array_equal(bits(_sq_dist_to(kern, point)), bits(w)), i
-            matvec = case == "8-bit" and i in (0, 2, 3)
-            assert len(calls) == (0 if matvec else len(kern.spans)), i
+            assert np.array_equal(bits(_sq_dist_to(kern, i)), bits(w)), i
+            assert len(calls) == (0 if kern.integral else len(kern.spans)), i
+        for i, (point, w) in enumerate(zip(points, want_points)):
+            calls.clear()
+            got = _exact_sq_dist_to(kern, point)
+            assert np.array_equal(bits(got), bits(w)), i
+            assert len(calls) == len(kern.spans), i
+            if kern.integral and i in (0, 2, 6):  # integral-valued, as a centroid may be
+                matvec = point @ kern.x.T * -2.0 + kern.sq_norms + point @ point
+                assert np.array_equal(bits(got), bits(matvec)), i
 
     def test_kmeanspp_init_takes_no_exact_pass_on_8bit_samples(self, monkeypatch):
         """The matvec path cannot silently vanish: on 8-bit samples k-means++
@@ -711,24 +737,53 @@ class TestKernel:
         kmeans_fit(normalize_spectra(spectra, "unit-length"), params)
         assert init_calls == [4 * 3, 4 * 3]  # 4 picks after the first x 3 chunks
 
+    def test_reseeding_fit_on_uint8_rows_matches_exact_kernel_fit(self, monkeypatch):
+        """Six distinct 8-bit spectra, many times over, with k = 8: clusters
+        go empty and are reseeded from their centroids by the exact kernel.
+        The fit has the bytes of one that takes the exact kernel and the
+        bincount sums throughout."""
+        gen = np.random.default_rng(19)
+        for b in (1, 2, 7, 33):
+            rows = gen.integers(0, 256, size=(b, 6)).astype(np.uint8)[:, gen.integers(0, 6, 5000)]
+            spectra = SpectrumSet(rows.T, np.zeros((5000, 2)))
+            params = KMeansParams(k=8, seed=b, restarts=2, max_iterations=20)
+            reseeds = []
+            exact_sq_dist_to = cluster._exact_sq_dist_to
+            with monkeypatch.context() as patch:
+                patch.setattr(cluster, "_exact_sq_dist_to",
+                              lambda *args: reseeds.append(1) or exact_sq_dist_to(*args))
+                got = kmeans_fit(spectra, params)
+            assert reseeds, b
+
+            class ExactKernel(_Kernel):
+                def __init__(self, spectra):
+                    super().__init__(spectra)
+                    self.integral = False
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cluster, "_Kernel", ExactKernel)
+                want = kmeans_fit(spectra, params)
+            assert got.centroids.tobytes() == want.centroids.tobytes(), b
+            assert got.labels.tobytes() == want.labels.tobytes(), b
+            assert repr(got.inertia) == repr(want.inertia), b
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), b
+
     def test_extracted_spectra_take_every_fast_path(self, tmp_path, monkeypatch):
         """What `segment` and `spectra` run on by default: the extract_spectra
-        set of an 8-bit page passes `levels`, so the kernel's matvec and
-        matmul and every CSV block's token table apply; its unit-length
-        rows take the exact paths."""
+        set of an 8-bit page is `eight_bit` by type, unscanned, so the
+        kernel's matvec and matmul and the CSV's token table apply, the
+        table built once; its unit-length rows take the exact paths."""
         cube, _ = synth_document(SynthSpec(width=128, height=96, bands=9, ink_count=3,
                                            noise_sigma=4.0, seed=1))
-        spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
-                                                         ThresholdConfig()))
-        assert _Kernel(spectra.vectors).integral
-        blocks = []
-
-        def spy(vectors):
-            blocks.append(levels(vectors))
-            return blocks[-1]
-
-        monkeypatch.setattr(segment, "levels", spy)
-        segment.export_spectra_csv(spectra, tmp_path / "s.csv")
-        assert len(blocks) == -(-spectra.count // segment._BLOCK_ROWS) > 1
-        assert all(block is not None for block in blocks)
-        assert not _Kernel(normalize_spectra(spectra, "unit-length").vectors).integral
+        tables = []
+        level_table = segment._level_table
+        with monkeypatch.context() as patch:
+            patch.setattr(binarize, "_levels", lambda vectors: pytest.fail("scanned"))
+            patch.setattr(segment, "_level_table",
+                          lambda coords: tables.append(1) or level_table(coords))
+            spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
+                                                             ThresholdConfig()))
+            assert spectra.eight_bit and _Kernel(spectra).integral
+            segment.export_spectra_csv(spectra, tmp_path / "s.csv")
+        assert spectra.count > segment._BLOCK_ROWS and tables == [1]
+        assert not _Kernel(normalize_spectra(spectra, "unit-length")).integral

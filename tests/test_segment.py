@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from inkscan import segment
 from inkscan.binarize import ForegroundMask, SpectrumSet
 from inkscan.errors import DimensionMismatch, IoFailure, TooManyClusters
 from inkscan.segment import (
@@ -177,6 +178,14 @@ def oracle_csv(spectra: SpectrumSet, rows=slice(None)) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def spy_level_table(monkeypatch) -> list:
+    """Record each `_level_table` build in the returned list."""
+    builds, level_table = [], segment._level_table
+    monkeypatch.setattr(segment, "_level_table",
+                        lambda coords: builds.append(1) or level_table(coords))
+    return builds
+
+
 def level_spectra(rng, n, bands, coord_high=600) -> SpectrumSet:
     """Integer-valued 0..255 rows, as extracted from an 8-bit cube."""
     return SpectrumSet(rng.integers(0, 256, size=(n, bands)).astype(float),
@@ -230,27 +239,32 @@ class TestCsv:
     @pytest.mark.parametrize("bands", [0, 1, 2, 33])
     @pytest.mark.parametrize("n", [0, 1, 4097, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                    2 * _BLOCK_ROWS + 1])
-    def test_levels_match_oracle(self, tmp_path, rng, bands, n):
+    def test_levels_match_oracle(self, tmp_path, rng, bands, n, monkeypatch):
         spectra = level_spectra(rng, n or 5, bands)
         limit = 0 if n == 0 else None  # n = 0: the header line alone
         path = tmp_path / "s.csv"
+        builds = spy_level_table(monkeypatch)
         assert export_spectra_csv(spectra, path, sample_limit=limit) == n
         expected = oracle_csv(spectra, slice(0, 0) if n == 0 else slice(None))
         assert path.read_bytes() == expected
+        assert len(builds) == (bands > 0)  # an 8-bit set builds the table once
 
     @pytest.mark.parametrize("value", [-0.0, 0.5, 255.0000001, 256.0, -3.0, 2.0 ** 53,
                                        1e16, float("nan"), float("inf"), float("-inf")])
-    def test_values_beyond_levels_match_oracle(self, tmp_path, rng, value):
+    def test_values_beyond_levels_match_oracle(self, tmp_path, rng, value, monkeypatch):
+        builds = spy_level_table(monkeypatch)
         # the odd value alone, in the first of two blocks, and in the second
         for n, row in [(6, 3), (_BLOCK_ROWS + 6, 3), (_BLOCK_ROWS + 6, _BLOCK_ROWS + 3)]:
             spectra = level_spectra(rng, n, 33)
             vectors = spectra.vectors.copy()
             vectors[row, 7] = value
             spectra = SpectrumSet(vectors, spectra.coords)
+            assert not spectra.eight_bit
             path = tmp_path / "s.csv"
             export_spectra_csv(spectra, path)
             assert path.read_bytes() == oracle_csv(spectra)
             assert f",{value!r}," in path.read_text()
+        assert not builds  # one odd value sends the whole set through repr
 
     def test_real_values_across_block_edge_match_oracle(self, tmp_path, rng):
         spectra = make_spectrum_set(rng.random((_BLOCK_ROWS + 5, 3)) * 300)
@@ -271,10 +285,13 @@ class TestCsv:
 
     def test_sampled_levels_match_oracle(self, tmp_path, rng):
         spectra = level_spectra(rng, 4097, 33)
+        halves = SpectrumSet(spectra.vectors + 0.5, spectra.coords)  # formatted by repr
         path = tmp_path / "s.csv"
-        assert export_spectra_csv(spectra, path, sample_limit=1000, seed=3) == 1000
-        rows = sorted(SplitMix64(3).sample_indices(4097, 1000))
-        assert path.read_bytes() == oracle_csv(spectra, rows)
+        for limit in (1000, 3000):  # within one block, and across blocks
+            rows = sorted(SplitMix64(3).sample_indices(4097, limit))
+            for sampled in (spectra, halves):
+                assert export_spectra_csv(sampled, path, sample_limit=limit, seed=3) == limit
+                assert path.read_bytes() == oracle_csv(sampled, rows)
 
     def test_unwritable_path_is_io_failure(self, tmp_path, rng):
         with pytest.raises(IoFailure):
