@@ -194,18 +194,27 @@ def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
 
 
 def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:
-    """Optionally rescale each row to unit Euclidean norm."""
+    """Optionally rescale each row to unit Euclidean norm, in a new set."""
     if mode == "none":
         return spectra
     if mode != "unit-length":
         raise ValueError(f"unknown normalization {mode!r}; use 'none' or 'unit-length'")
-    norms = np.empty(spectra.count)
-    for s in range(0, spectra.count, 4096):
+    return SpectrumSet(scale_to_unit_length(np.array(spectra.vectors, order="F")),
+                       spectra.coords)
+
+
+def scale_to_unit_length(vectors: np.ndarray) -> np.ndarray:
+    """Divide each row of a writable float64 (N, B) array by its Euclidean
+    norm, in place, and return the array; a zero row raises ZeroSpectrum."""
+    norms = np.empty(len(vectors))
+    for s in range(0, len(vectors), 4096):
         # einsum rounds by memory layout: each row's norm has the bits of a
         # row-major row, in blocks of any size
-        rows = np.ascontiguousarray(spectra.vectors[s : s + 4096])
+        rows = np.ascontiguousarray(vectors[s : s + 4096])
         norms[s : s + 4096] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        del rows  # so the next block's copy replaces this one instead of joining it
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
         raise ZeroSpectrum(int(zero[0]))
-    return SpectrumSet(spectra.vectors / norms[:, None], spectra.coords)
+    vectors /= norms[:, None]
+    return vectors

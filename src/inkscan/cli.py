@@ -14,7 +14,11 @@ Each command imports only the modules it runs: the parser needs
 `segment` adds `cluster`, and only `synth` loads `synth`.
 `spectra` and `segment` gather the foreground's 8-bit band rows, let the
 cube go, and only then promote the rows to float64, so the cube and the
-float64 spectra are never alive together.
+float64 spectra are never alive together; under `--normalize unit-length`
+the rows go too, and that one float64 copy is divided in place. `synth`
+writes the page band by band as `synth.synth_bands` draws it, with at most
+two bands drawn ahead of the one being written, so it never holds the
+whole cube; truth, manifest and sidecar follow the last band.
 Runtime/data failures, running out of memory included, exit 1 with a
 one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -24,6 +28,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -177,8 +182,11 @@ def _foreground(args):
     mask = binarize.threshold_binary(ref, config)
     rows, coords = binarize.gather_foreground(cube, mask)
     del cube, ref  # under band:<i>, ref is a view that keeps the whole cube alive
-    spectra = binarize.SpectrumSet(rows.T, coords)
-    return mask, binarize.normalize_spectra(spectra, args.normalize)
+    if args.normalize == "none":
+        return mask, binarize.SpectrumSet(rows.T, coords)
+    vectors = rows.T.astype(np.float64, order="F")
+    del rows  # the rows go before the float64 copy is divided in place
+    return mask, binarize.SpectrumSet(binarize.scale_to_unit_length(vectors), coords)
 
 
 def cmd_bands(args) -> int:
@@ -263,16 +271,17 @@ def cmd_synth(args) -> int:
         background_level=args.background_level,
         seed=args.seed,
     )
-    cube, truth = synth.synth_document(spec)
+    truth, bands = synth.synth_bands(spec)
 
     out_dir = Path(args.out_dir)
     bands_dir = out_dir / "bands"
     bands_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
-    for b in range(1, cube.bands + 1):
-        name = f"band_{b}.pgm"
-        hsi_cube.write_gray_pgm(hsi_cube.band_image(cube, b), bands_dir / name)
-        manifest_lines.append(f"{b}\tbands/{name}")
+    with closing(bands):  # a failed write stops the pool before the error exits
+        for b, plane in enumerate(bands, start=1):
+            name = f"band_{b}.pgm"
+            hsi_cube.write_gray_pgm(hsi_cube.GrayImage(plane), bands_dir / name)
+            manifest_lines.append(f"{b}\tbands/{name}")
     (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     segment.write_label_pgm(truth, out_dir / "truth.pgm")
 

@@ -8,7 +8,10 @@ around `background_level`. The realized ink pixel count is exact, so the
 truth map doubles as a pixel-precise oracle.
 
 All randomness derives from SynthSpec.seed through three child streams
-drawn in a fixed order (signatures, layout, noise). The noise is drawn in
+drawn in a fixed order (signatures, layout, noise). `synth_bands` draws
+the page band by band, with at most two bands in flight beyond the one the
+caller holds, so its memory does not grow with the band count;
+`synth_document` collects that stream into one cube. The noise is drawn in
 tiles of one band by 65,536 pixels, on one thread per CPU under the
 caller's `np.errstate`; each tile reads its own window of the band's
 counter-based stream, so the page's bytes do not depend on the thread
@@ -18,6 +21,7 @@ cosine gives, and float64 elsewhere (`_floor_noisy`).
 """
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,9 @@ MIN_SIGNATURE_SEPARATION = 2.0
 
 # pixels per noise task; a whole 512x512 band per task raised synth's peak RSS
 _TILE = 65_536
+# bands drawn ahead of the one the caller holds; one band per pool.map left the
+# pool idle at every band boundary
+_WINDOW = 2
 
 _RADIUS_MAX = 8.58  # R in _floor_noisy; Box-Muller radii stay below sqrt(-2 ln 2^-53)
 _COS32_ERR = 2.0 ** -20  # E in _floor_noisy
@@ -297,20 +304,17 @@ def _floor_noisy(plane: np.ndarray, sigma: float,
     return out
 
 
-def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
-    """Generate (cube, truth map), fully determined by spec.seed.
+def synth_bands(spec: SynthSpec) -> tuple[SegmentationMap, Iterator[np.ndarray]]:
+    """The truth map and a stream of the page's bands, fully determined by spec.seed.
 
-    Returns
-    -------
-    cube : HyperCube
-        (bands, height, width) intensities: per-ink signature (or
-        background_level) plus N(0, noise_sigma) per band, rounded
-        half-up and clamped to [0, 255].
-    truth : SegmentationMap
-        Ink labels 1..K at stroke pixels, 0 elsewhere.
+    The signatures and the layout are drawn before this returns, so every
+    spec failure raises here. The stream then yields band b's (height,
+    width) uint8 plane, b = 0..bands-1: per-ink signature (or
+    background_level) plus N(0, noise_sigma), rounded half-up and clamped
+    to [0, 255]. Band b + _WINDOW is submitted to the tile pool before band
+    b is yielded, so the pool keeps drawing while the caller writes.
+    Closing the stream early waits for the bands in flight.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so `eval` skips its import
-
     master = SplitMix64(spec.seed)
     sig_rng = SplitMix64(master.spawn_seed())
     layout_rng = SplitMix64(master.spawn_seed())
@@ -321,30 +325,58 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
     else:
         signatures = generate_signatures(spec, sig_rng)
 
-    truth = _layout_truth(spec, layout_rng)
+    truth = SegmentationMap(_layout_truth(spec, layout_rng), spec.ink_count)
+    errstate = np.geterr()  # pool threads do not inherit the caller's
+    return truth, _draw_bands(spec, signatures, truth.labels.ravel(), noise_seed, errstate)
+
+
+def _draw_bands(spec, signatures, labels, noise_seed, errstate):
+    from concurrent.futures import ThreadPoolExecutor  # here, so `eval` skips its import
 
     # row b holds band b of the background and of each ink
     lut = np.vstack([np.full(spec.bands, float(spec.background_level)), signatures]).T.copy()
-    labels = truth.ravel()
     pixels = labels.size
-    cube = np.empty((spec.bands, pixels), dtype=np.uint8)
-    tasks = [(b, lo, min(lo + _TILE, pixels))
-             for b in range(spec.bands) for lo in range(0, pixels, _TILE)]
+    tiles = range(0, pixels, _TILE)
 
-    errstate = np.geterr()  # pool threads do not inherit the caller's
-
-    def fill(task):
-        b, lo, hi = task
+    def fill(plane, b, lo):
+        hi = min(lo + _TILE, pixels)
         with np.errstate(**errstate):
-            plane = lut[b].take(labels[lo:hi])
+            noisy = lut[b].take(labels[lo:hi])
             if spec.noise_sigma > 0.0:
                 polar = polar_block(noise_seed, 2 * pixels * b, pixels, lo, hi)
-                plane = _floor_noisy(plane, spec.noise_sigma, *polar)
+                noisy = _floor_noisy(noisy, spec.noise_sigma, *polar)
             else:
-                plane = np.floor(plane + 0.5)
-            cube[b, lo:hi] = np.clip(plane, 0.0, 255.0)
+                noisy = np.floor(noisy + 0.5)
+            plane[lo:hi] = np.clip(noisy, 0.0, 255.0)
 
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(tasks))) as pool:
-        list(pool.map(fill, tasks))
-    cube = cube.reshape(spec.bands, spec.height, spec.width)
-    return HyperCube(cube), SegmentationMap(truth, spec.ink_count)
+    workers = min(os.cpu_count() or 1, spec.bands * len(tiles))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def submit(b):
+            plane = np.empty(pixels, dtype=np.uint8)
+            return plane, [pool.submit(fill, plane, b, lo) for lo in tiles]
+
+        window = [submit(b) for b in range(min(_WINDOW, spec.bands))]
+        for b in range(spec.bands):
+            plane, futures = window.pop(0)
+            for future in futures:
+                future.result()
+            if b + _WINDOW < spec.bands:
+                window.append(submit(b + _WINDOW))
+            yield plane.reshape(spec.height, spec.width)
+
+
+def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
+    """Generate (cube, truth map), fully determined by spec.seed.
+
+    Returns
+    -------
+    cube : HyperCube
+        (bands, height, width): the planes of `synth_bands`, in order.
+    truth : SegmentationMap
+        Ink labels 1..K at stroke pixels, 0 elsewhere.
+    """
+    truth, bands = synth_bands(spec)
+    cube = np.empty((spec.bands, spec.height, spec.width), dtype=np.uint8)
+    for b, plane in enumerate(bands):
+        cube[b] = plane
+    return HyperCube(cube), truth

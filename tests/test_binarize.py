@@ -243,6 +243,14 @@ class TestNormalize:
         unit = normalize_spectra(make_spectrum_set(np.asfortranarray(v)), "unit-length")
         assert unit.vectors.tobytes() == expected.tobytes()
 
+    def test_unit_length_leaves_its_input_untouched(self, rng):
+        spectra = make_spectrum_set(np.asfortranarray(rng.random((300, 9)) * 100.0 + 0.01))
+        before = spectra.vectors.tobytes("A")
+        unit = normalize_spectra(spectra, "unit-length")
+        assert spectra.vectors.tobytes("A") == before
+        assert not np.shares_memory(unit.vectors, spectra.vectors)
+        assert not unit.vectors.flags.writeable
+
     def test_zero_row_rejected(self):
         spectra = make_spectrum_set([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ZeroSpectrum) as exc:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fnmatch import fnmatchcase
 
@@ -12,6 +13,7 @@ import pytest
 from conftest import avx512_off_env, subprocess_env
 from inkscan import binarize, cluster, hsi_cube, netpbm, synth
 from inkscan.cli import _foreground, build_parser, main
+from inkscan.errors import IoFailure
 from inkscan.segment import read_label_pgm
 
 
@@ -217,6 +219,24 @@ class TestForeground:
         assert spectra.vectors.shape == want.vectors.shape
         assert spectra.vectors.tobytes("A") == want.vectors.tobytes("A")
         assert spectra.coords.tobytes() == want.coords.tobytes()
+
+
+    def test_unit_length_spectra_hold_one_float_copy(self, page_bands, capsys):
+        """The 8-bit rows go before the one float64 copy is divided in place,
+        so the traced peak stays below two float64 copies of the spectra."""
+        args = build_parser().parse_args(["spectra", str(page_bands),
+                                          "--normalize", "unit-length"])
+        tracemalloc.start()
+        try:
+            mask, spectra = _foreground(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * spectra.vectors.nbytes
+        cube = hsi_cube.load_cube(page_bands)
+        want = binarize.normalize_spectra(binarize.extract_spectra(cube, mask), "unit-length")
+        assert spectra.vectors.tobytes("A") == want.vectors.tobytes("A")
+        assert spectra.vectors.flags.f_contiguous and not spectra.vectors.flags.writeable
 
 
 class TestSegment:
@@ -461,7 +481,7 @@ class TestSynth:
         def exhausted(spec):
             raise MemoryError(message)
 
-        monkeypatch.setattr(synth, "synth_document", exhausted)
+        monkeypatch.setattr(synth, "synth_bands", exhausted)
         out = tmp_path / "x"
         assert main(["synth", "--out-dir", str(out), "--width", "3000000",
                      "--height", "3000000", "--bands", "2", "--inks", "2"]) == 1
@@ -474,6 +494,77 @@ class TestSynth:
                      "--height", "4", "--bands", "2", "--inks", "5",
                      "--coverage", "0.1", "--seed", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-sigma", "1e300"],  # signatures: separation out of reach
+        ["--width", "4", "--height", "4", "--inks", "5", "--coverage", "0.1"],  # page
+    ], ids=["separation", "page"])
+    def test_spec_failures_exit_2_before_the_out_dir_exists(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--bands", "4", *flags]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    # 300 x 257 = 77,100 pixels: a whole tile, then a partial one
+    @pytest.mark.parametrize("bands", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_streamed_bands_equal_the_document_cube(self, tmp_path, capsys, monkeypatch,
+                                                    bands, cpus):
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "doc"
+        assert main(["synth", "--out-dir", str(out), "--width", "300", "--height", "257",
+                     "--bands", str(bands), "--inks", "3", "--noise-sigma", "3",
+                     "--coverage", "0.3", "--seed", "7"]) == 0
+        cube, truth = synth.synth_document(synth.SynthSpec(
+            width=300, height=257, bands=bands, ink_count=3, noise_sigma=3.0,
+            coverage=0.3, seed=7))
+        written = hsi_cube.load_cube(out / "manifest.txt")
+        assert written.data.tobytes() == cube.data.tobytes()
+        assert read_label_pgm(out / "truth.pgm").labels.tobytes() == truth.labels.tobytes()
+
+    def test_failed_band_write_exits_1_and_stops_the_pool(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+        write = hsi_cube.write_gray_pgm
+
+        def full_at_band_3(image, path):
+            if path.name == "band_3.pgm":
+                raise IoFailure(f"cannot write {path}: disk full")
+            write(image, path)
+
+        monkeypatch.setattr(hsi_cube, "write_gray_pgm", full_at_band_3)
+        threads = threading.active_count()
+        out = tmp_path / "doc"
+        assert main(["synth", "--out-dir", str(out), "--width", "300", "--height", "257",
+                     "--bands", "9", "--inks", "3", "--noise-sigma", "3", "--seed", "7"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"inkscan synth: cannot write {out / 'bands' / 'band_3.pgm'}: disk full\n"
+        assert threading.active_count() == threads
+        assert sorted(p.name for p in (out / "bands").iterdir()) == ["band_1.pgm", "band_2.pgm"]
+        assert not (out / "manifest.txt").exists()
+
+    def test_peak_rss_does_not_grow_with_the_band_count(self, tmp_path):
+        """Holding a 256 x 256 x 128 cube would add about 8 MB over 8 bands.
+
+        A child's ru_maxrss also counts the process it was started from, so a
+        small Python process without numpy starts `synth` and reaps it."""
+        reap = ("import os, subprocess, sys; "
+                "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                "_, status, usage = os.wait4(proc.pid, 0); "
+                "proc.returncode = os.waitstatus_to_exitcode(status); "
+                "print(proc.returncode, usage.ru_maxrss)")
+
+        def peak_mb(bands):
+            result = subprocess.run(
+                [sys.executable, "-c", reap, sys.executable, "-m", "inkscan", "synth",
+                 "--out-dir", str(tmp_path / str(bands)), "--width", "256", "--height", "256",
+                 "--bands", str(bands), "--inks", "3", "--noise-sigma", "3", "--seed", "1"],
+                capture_output=True, text=True, env=subprocess_env(), check=True)
+            code, kilobytes = map(int, result.stdout.split())
+            assert code == 0
+            return kilobytes / 1024.0
+
+        assert peak_mb(128) - peak_mb(8) < 2.0
 
 
 class TestEval:
