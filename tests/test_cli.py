@@ -595,6 +595,41 @@ class TestEval:
         netpbm.write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "small.pgm")
         code = main(["eval", str(tmp_path / "small.pgm"), str(synth_dir / "truth.pgm")])
         assert code == 1
+        truth = read_label_pgm(synth_dir / "truth.pgm")
+        assert capsys.readouterr() == (
+            "", f"inkscan eval: prediction is 2x2, truth is {truth.width}x{truth.height}\n")
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "P6", "truncated", "maxval"])
+    def test_unreadable_map_exits_1_with_one_line(self, synth_dir, tmp_path, capsys, case):
+        pred, truth = tmp_path / "pred.pgm", synth_dir / "truth.pgm"
+        contents = {
+            "P6": b"P6\n2 2\n255\n" + bytes(12),
+            "truncated": b"P5\n4 3\n255\n" + bytes(11),
+            "maxval": b"P5\n2 2\n65535\n" + bytes(8),
+        }
+        messages = {
+            "missing": f"[Errno 2] No such file or directory: '{pred}'",
+            "directory": f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'",
+            "P6": f"{pred}: expected P5 magic",
+            "truncated": f"{pred}: raster shorter than 4x3x1",
+            "maxval": f"{pred}: only maxval 255 is supported, got 65535",
+        }
+        if case == "directory":
+            pred, truth = truth, tmp_path
+        elif case in contents:
+            pred.write_bytes(contents[case])
+        code = main(["eval", str(pred), str(truth)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"inkscan eval: {messages[case]}\n")
+
+    def test_bytes_after_the_raster_are_ignored(self, synth_dir, tmp_path, capsys):
+        truth = synth_dir / "truth.pgm"
+        padded = tmp_path / "padded.pgm"
+        padded.write_bytes(truth.read_bytes() + b"\n# trailing\n\xff")
+        assert main(["eval", str(truth), str(truth)]) == 0
+        expected = capsys.readouterr()
+        assert main(["eval", str(padded), str(truth)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_more_than_8_labels_exits_1_with_one_line(self, tmp_path, capsys):
         doc = tmp_path / "doc"

@@ -24,9 +24,10 @@ the page bytes of the easy page made at sigma 0, the page bytes of a
 300x257 page (77,100 pixels: more than one 65,536-pixel noise tile, where
 every other pinned page fits in one), the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
-(output paths replaced by a fixed token), the first eight outputs of
-`u64_block` and `normal_block` for seed 1, and the Box-Muller uniforms
-behind the latter.
+(output paths replaced by a fixed token), the `eval` stdout, text and
+`--json`, of each page's segment labels against its truth, the first
+eight outputs of `u64_block` and `normal_block` for seed 1, and the
+Box-Muller uniforms behind the latter.
 """
 
 import contextlib
@@ -135,6 +136,32 @@ def test_segment_outputs_pinned(pages, tmp_path, page, workers):
         _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()),
     )
     assert got == GOLDEN_SEGMENT[page]
+
+
+# sha256 of the `eval` stdout, text then `--json`, scoring the labels of the
+# page's pinned `segment` run against its truth
+GOLDEN_EVAL = {
+    "easy": ("a88342525e1499c8ff774acc8ed2b439c94f33003b6270157cf1175c4a4638cf",
+             "37eeab4c78ea6fe2c648716ebe507fe64c241dca5a82182d5d3d88d9abdcd1a9"),
+    "close": ("494630468c7551304a9e5e05b4dbff434dc3ecbf42be83c5be7c5d63e1e80f95",
+              "af76f940b93e2c3d3cc703dc936b0125929367d730ac8a36a299065f8eb03f9d"),
+}
+
+
+@pytest.mark.parametrize("page", ["easy", "close"])
+def test_eval_stdout_pinned(pages, tmp_path, page):
+    doc, labels = pages[page], tmp_path / "l.pgm"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["segment", str(doc / "bands"), "--k", "5", "--seed", "0",
+                     *SEGMENT_FLAGS[page], "--out-render", str(tmp_path / "r.ppm"),
+                     "--out-labels", str(labels)]) == 0
+    got = []
+    for flags in ([], ["--json"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["eval", str(labels), str(doc / "truth.pgm"), *flags]) == 0
+        got.append(_sha(out.getvalue().encode()))
+    assert tuple(got) == GOLDEN_EVAL[page]
 
 
 @pytest.mark.parametrize("page", ["easy", "close"])
