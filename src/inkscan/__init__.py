@@ -24,7 +24,7 @@ _EXPORTS = {
     "synth": ("SynthSpec", "synth_document"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "errors", "netpbm", "rng"}
+_SUBMODULES = {*_EXPORTS, "errors", "netpbm", "rng", "scoring"}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"

@@ -9,9 +9,13 @@ Each command builds its configuration records (`ThresholdConfig`,
 `KMeansParams`, `SynthSpec`) from the parsed flags before any I/O; the
 records are the only validators of the flags they hold, and argparse
 checks the rest. So a bad invocation exits 2 before any work starts.
-Each command imports only the modules it runs: the parser needs
-`binarize`, `hsi_cube` and `segment` (which scores label maps too),
-`segment` adds `cluster`, and only `synth` loads `synth`.
+Each command imports only the modules it runs, and building the parser
+imports none: `bands` loads `hsi_cube`; `spectra` adds `binarize` and
+`segment`; `segment` adds `cluster`; `synth` loads `synth`, `hsi_cube` and
+`segment`; and `eval` loads only `scoring` and `netpbm`, whose reader
+needs no numpy, so it (like `--help`) runs without numpy. The flag type checks that need a
+module (`--reference`, `--k`) import it when argparse calls them, which
+it does only for the chosen command.
 `spectra` and `segment` gather the foreground's 8-bit band rows, let the
 cube go, and only then promote the rows to float64, so the cube and the
 float64 spectra are never alive together; under `--normalize unit-length`
@@ -25,15 +29,11 @@ All outputs are deterministic functions of the flags, seeds included.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from contextlib import closing
 from pathlib import Path
 
-import numpy as np
-
-from . import binarize, hsi_cube, segment
 from .errors import DegenerateHistogram, InkscanError, InvalidSpec
 
 
@@ -45,6 +45,8 @@ def _positive_int(text):
 
 
 def _cluster_count(text):
+    from . import segment
+
     value = _positive_int(text)
     if value > segment.MAX_CLUSTERS:
         raise argparse.ArgumentTypeError(
@@ -78,6 +80,8 @@ def _band_list(text):
 
 
 def _reference_mode(text):
+    from . import hsi_cube
+
     try:
         hsi_cube.reference_band(text)
     except ValueError as exc:
@@ -86,9 +90,10 @@ def _reference_mode(text):
 
 
 def _add_threshold_flags(parser):
-    parser.add_argument("--threshold", type=int, default=binarize.DEFAULT_THRESHOLD,
+    # literal defaults: building the parser imports no numpy-backed module
+    parser.add_argument("--threshold", type=int, default=40,
                         help="binary threshold t in 0..255 (default 40)")
-    parser.add_argument("--polarity", default=binarize.KEEP_AT_OR_ABOVE,
+    parser.add_argument("--polarity", default="keep-at-or-above",
                         help="which side of t is foreground: keep-at-or-above or keep-below "
                              "(default keep-at-or-above)")
     parser.add_argument("--otsu", action="store_true",
@@ -100,7 +105,7 @@ def _add_threshold_flags(parser):
 
 def _add_cluster_flags(parser):
     parser.add_argument("--k", type=_cluster_count, default=5,
-                        help=f"number of ink clusters, 1..{segment.MAX_CLUSTERS} (default 5)")
+                        help="number of ink clusters, 1..8 (default 5)")
     parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     parser.add_argument("--init", default="kmeanspp",
                         help="centroid initialization: kmeanspp or random (default kmeanspp)")
@@ -171,6 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _foreground(args):
     """The ink mask and its (normalized) spectra, as `spectra` and `segment` use them."""
+    import dataclasses
+
+    import numpy as np
+
+    from . import binarize, hsi_cube
+
     config = binarize.ThresholdConfig(args.threshold, args.polarity)
     cube = hsi_cube.load_cube(args.input)
     ref = hsi_cube.reference_image(cube, args.reference)
@@ -190,6 +201,8 @@ def _foreground(args):
 
 
 def cmd_bands(args) -> int:
+    from . import hsi_cube
+
     images = hsi_cube.load_bands(args.input, args.bands)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -200,6 +213,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_spectra(args) -> int:
+    from . import segment
+
     _, spectra = _foreground(args)
     rows = segment.export_spectra_csv(spectra, args.out, args.sample, args.seed)
     if args.json:
@@ -217,7 +232,9 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    from . import cluster
+    import numpy as np
+
+    from . import cluster, segment
 
     params = cluster.KMeansParams(
         k=args.k,
@@ -259,7 +276,9 @@ def cmd_segment(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    from . import synth
+    import dataclasses
+
+    from . import hsi_cube, segment, synth
 
     spec = synth.SynthSpec(
         width=args.width,
@@ -304,21 +323,23 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = segment.read_label_pgm(args.pred)
-    truth = segment.read_label_pgm(args.truth)
-    report = segment.best_permutation_accuracy(pred, truth)
+    from . import scoring
+
+    pred = scoring.read_label_raster(args.pred)
+    truth = scoring.read_label_raster(args.truth)
+    accuracy, mapping, counts = scoring.best_bijection(pred, truth)
     if args.json:
         print(json.dumps({
             "command": "eval",
-            "accuracy": report.accuracy,
-            "mapping": {str(p): t for p, t in sorted(report.mapping.items())},
-            "confusion": report.confusion.tolist(),
+            "accuracy": accuracy,
+            "mapping": {str(p): t for p, t in sorted(mapping.items())},
+            "confusion": counts,
         }, sort_keys=True))
     else:
-        print(f"accuracy={report.accuracy:.6f}")
-        pairs = " ".join(f"{p}->{t}" for p, t in sorted(report.mapping.items()))
+        print(f"accuracy={accuracy:.6f}")
+        pairs = " ".join(f"{p}->{t}" for p, t in sorted(mapping.items()))
         print(f"mapping: {pairs if pairs else '(none)'}")
-        print(segment.format_confusion(report.confusion))
+        print(scoring.format_confusion(counts))
     return 0
 
 

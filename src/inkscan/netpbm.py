@@ -2,17 +2,26 @@
 
 Writers emit the canonical header ``P5\\n<w> <h>\\n255\\n`` (P6 for color)
 followed by row-major samples, so output files are byte-stable. The one
-reader accepts the full netpbm header grammar (whitespace runs, ``#``
-comments, zero-padded fields) but only 8-bit maxval; any other bytes raise
-UnsupportedFormat.
+reader, `read_raster`, accepts the full netpbm header grammar (whitespace
+runs, ``#`` comments, zero-padded fields) but only 8-bit maxval; any other
+bytes raise UnsupportedFormat.
+
+Importing this module loads no numpy. `read_raster` hands back the raster
+as a view of the file's bytes, which is all `eval` reads label maps with;
+`read_pgm` and `read_ppm` wrap that view as a uint8 array, and they and the
+writers import numpy when first called.
 """
+
+from __future__ import annotations
 
 import re
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IoFailure, UnsupportedFormat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOKEN = re.compile(rb"[ \t\r\n]*(?:#[^\n]*\n[ \t\r\n]*)*0*([0-9]+)")
 # a field with more significant digits than this cannot describe an image
@@ -45,7 +54,16 @@ def _parse_header(data: bytes, magic: bytes, path):
     return width, height, pos
 
 
-def _read(path, magic: bytes, channels: int) -> np.ndarray:
+_CHANNELS = {b"P5": 1, b"P6": 3}
+
+
+def read_raster(path, magic: bytes) -> tuple[int, int, memoryview]:
+    """The width, height and row-major samples of a P5 (``magic=b"P5"``) or P6 file.
+
+    The samples, one byte per channel, are a read-only view of the file's
+    bytes; bytes after the raster are ignored. A missing file raises
+    FileNotFoundError, any other read failure IoFailure.
+    """
     try:
         data = Path(path).read_bytes()
     except FileNotFoundError:
@@ -53,23 +71,33 @@ def _read(path, magic: bytes, channels: int) -> np.ndarray:
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     width, height, pos = _parse_header(data, magic, path)
+    channels = _CHANNELS[magic]
     n = height * width * channels
     if len(data) - pos < n:
         raise UnsupportedFormat(f"{path}: raster shorter than {width}x{height}x{channels}")
-    return np.frombuffer(data, np.uint8, n, pos).reshape(height, width, channels)
+    return width, height, memoryview(data)[pos:pos + n]
+
+
+def _read(path, magic: bytes) -> np.ndarray:
+    import numpy as np
+
+    width, height, raster = read_raster(path, magic)
+    return np.frombuffer(raster, np.uint8).reshape(height, width, _CHANNELS[magic])
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM into a (height, width) uint8 array."""
-    return _read(path, b"P5", 1)[:, :, 0]
+    return _read(path, b"P5")[:, :, 0]
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into a (height, width, 3) uint8 array."""
-    return _read(path, b"P6", 3)
+    return _read(path, b"P6")
 
 
 def _write(path, magic: bytes, pixels: np.ndarray) -> None:
+    import numpy as np
+
     height, width = pixels.shape[:2]
     if width < 1 or height < 1:
         raise IoFailure(f"refusing to write {width}x{height} image")

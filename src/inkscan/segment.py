@@ -3,19 +3,19 @@
 Map labels use 0 for background and 1..k for cluster id + 1, held as
 uint8 with k <= 255, so a single 8-bit PGM channel carries the whole
 segmentation losslessly. Maps are scored against a truth map by the best
-label bijection.
+label bijection, which `scoring` computes without numpy.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm
+from . import netpbm, scoring
 from .binarize import ForegroundMask, SpectrumSet
 from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
+from .scoring import format_confusion  # noqa: F401 (part of this module's API)
 
 # row 0 is the background, row c the color of cluster c; byte-stable across runs
 _COLORS = np.array([
@@ -31,7 +31,6 @@ _COLORS = np.array([
 ], dtype=np.uint8)
 _COLORS.flags.writeable = False
 MAX_CLUSTERS = len(_COLORS) - 1  # clusters the default palette can color
-_MAX_EXHAUSTIVE_K = 8  # clusters best_permutation_accuracy scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,56 +128,19 @@ class EvalReport:
 
 
 def confusion_matrix(pred: SegmentationMap, truth: SegmentationMap) -> np.ndarray:
-    """(K+1)x(K+1) counts; entry (i, j) = pixels with truth i, predicted j."""
-    if (pred.height, pred.width) != (truth.height, truth.width):
-        raise DimensionMismatch(
-            f"prediction is {pred.width}x{pred.height}, "
-            f"truth is {truth.width}x{truth.height}"
-        )
-    side = max(pred.k, truth.k) + 1
-    flat = truth.labels.ravel().astype(np.int64) * side + pred.labels.ravel()
-    return np.bincount(flat, minlength=side * side).reshape(side, side)
+    """(K+1)x(K+1) int64 counts; entry (i, j) = pixels with truth i, predicted j."""
+    return np.array(scoring.confusion_counts(pred, truth), dtype=np.int64)
 
 
 def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> EvalReport:
     """Score `pred` against `truth` over all label bijections.
 
-    Searches every bijection between nonzero predicted and nonzero truth
-    labels (the smaller side padded with "unmatched"), maximizing matched
-    ink pixels; accuracy is over truth ink pixels only. Ties pick the
-    lexicographically smallest mapping tuple (unmatched sorts first).
-    With no truth ink pixels the accuracy is defined as 1.0.
+    The search, its tie rule and its k <= 8 cap are `scoring.best_bijection`'s;
+    the report holds its confusion counts as an int64 array.
     """
-    if pred.k > _MAX_EXHAUSTIVE_K or truth.k > _MAX_EXHAUSTIVE_K:
-        raise TooManyClusters(f"exhaustive search handles k <= {_MAX_EXHAUSTIVE_K}")
-    counts = confusion_matrix(pred, truth)
-    kp, kt = pred.k, truth.k
-    truth_ink = int(counts[1:, :].sum())
-
-    # candidate truth assignments for pred labels 1..kp; 0 = unmatched
-    padded = list(range(1, kt + 1)) + [0] * max(0, kp - kt)
-    best_tuple = None
-    best_matched = -1
-    for mapping in sorted(set(itertools.permutations(padded, kp))):
-        matched = sum(int(counts[t, p + 1]) for p, t in enumerate(mapping) if t)
-        if matched > best_matched:
-            best_matched = matched
-            best_tuple = mapping
-
-    accuracy = best_matched / truth_ink if truth_ink else 1.0
-    mapping = {p + 1: t for p, t in enumerate(best_tuple or ()) if t}
-    return EvalReport(accuracy=accuracy, mapping=mapping, confusion=counts)
-
-
-def format_confusion(counts: np.ndarray) -> str:
-    """Plain-text confusion table, truth rows by predicted columns."""
-    side = counts.shape[0]
-    width = max(5, len(str(int(counts.max(initial=0)))) + 1)
-    header = "truth\\pred" + "".join(f"{j:>{width}}" for j in range(side))
-    lines = [header]
-    for i in range(side):
-        lines.append(f"{i:>10}" + "".join(f"{int(v):>{width}}" for v in counts[i]))
-    return "\n".join(lines)
+    accuracy, mapping, counts = scoring.best_bijection(pred, truth)
+    return EvalReport(accuracy=accuracy, mapping=mapping,
+                      confusion=np.array(counts, dtype=np.int64))
 
 
 # rows per block of the CSV writer: each block's index, gather and bytes

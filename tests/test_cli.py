@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import avx512_off_env, subprocess_env
-from inkscan import binarize, cluster, hsi_cube, netpbm, synth
+from inkscan import binarize, cluster, hsi_cube, netpbm, segment, synth
 from inkscan.cli import _foreground, build_parser, main
 from inkscan.errors import IoFailure
 from inkscan.segment import read_label_pgm
@@ -422,6 +422,15 @@ class TestRecordsValidateFlags:
         assert args.init == cluster.KMeansParams(k=1).init
         assert args.polarity == binarize.ThresholdConfig().polarity
 
+    def test_parser_literals_are_the_records_values(self, capsys, monkeypatch):
+        """The parser imports no numpy-backed module, so it spells out the default
+        threshold and the palette's cluster bound; they must stay the modules' own."""
+        monkeypatch.setenv("COLUMNS", "400")
+        assert main(["segment", "--help"]) == 0
+        assert f"1..{segment.MAX_CLUSTERS} (default 5)" in capsys.readouterr().out
+        args = build_parser().parse_args(["segment", "doc"])
+        assert args.threshold == binarize.ThresholdConfig().value == binarize.DEFAULT_THRESHOLD
+
     def test_synth_inks_above_8_bit_exits_2_before_writing(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["synth", "--out-dir", str(out), "--inks", "256"]) == 2
@@ -651,12 +660,14 @@ class TestEval:
 
 
 # modules a fresh process must not hold after each command ("import": a bare
-# `import inkscan`); np.unique imports numpy.ma, 15-18 ms a run segment has no use for
+# `import inkscan`; "help": `inkscan --help`); np.unique imports numpy.ma,
+# 15-18 ms a run segment has no use for; numpy's import is about half of eval's time
 UNWANTED = {
     "import": ["inkscan.*"],
+    "help": ["numpy"],
     "bands": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
     "spectra": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
-    "eval": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
+    "eval": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging", "numpy"],
     "segment": ["inkscan.synth", "concurrent.futures", "logging", "numpy.ma"],
 }
 
@@ -676,6 +687,7 @@ def modules_after(tmp_path_factory):
         "segment": ["segment", str(doc / "bands"), "--k", "3", "--out-render",
                     str(tmp / "r.ppm"), "--out-labels", str(tmp / "l.pgm")],
         "eval": ["eval", str(tmp / "l.pgm"), str(doc / "truth.pgm")],
+        "help": ["--help"],
     }
     check = ("import sys; from inkscan.cli import main; "
              "assert main(sys.argv[1:]) == 0; print(*sys.modules)")
@@ -698,10 +710,11 @@ class TestUsage:
         assert main([]) == 2
 
     def test_cli_loads_no_undeclared_dependency(self, modules_after):
-        # numpy is the only declared runtime dependency
+        # numpy is the only declared runtime dependency; eval scores without it
         for command in ("bands", "spectra", "segment", "synth", "eval"):
             loaded = {name.split(".")[0] for name in modules_after[command]}
-            assert "numpy" in loaded, command
+            if command != "eval":
+                assert "numpy" in loaded, command
             assert not loaded & {"scipy", "hypothesis", "pytest_benchmark"}, command
 
     @pytest.mark.parametrize("command", UNWANTED)

@@ -4,7 +4,11 @@ Valid P5, P6 and manifest inputs are mutated by bit flips, byte
 inserts (header bytes, random bytes and long digit runs) and deletes.
 Whatever the bytes, a reader must return an array or a cube, or raise
 an InkscanError; any other exception would reach the CLI as a traceback.
+The numpy-free `netpbm.read_raster` must fail alike, or return the same
+shape and bytes as the array reader.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -54,8 +58,12 @@ def test_netpbm_reader_survives_mutation(tmp_path, magic, read, shape):
             image = read(path)
         except InkscanError as exc:
             outcomes.add(type(exc).__name__)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                netpbm.read_raster(path, magic)
         else:
             assert image.dtype == np.uint8 and image.shape[2:] == shape[2:]
+            width, height, raster = netpbm.read_raster(path, magic)
+            assert (height, width) == image.shape[:2] and raster == image.tobytes()
             outcomes.add("array")
     assert {"array", "UnsupportedFormat"} <= outcomes
 

@@ -10,7 +10,7 @@ from inkscan.binarize import ThresholdConfig, extract_spectra, threshold_binary
 from inkscan.cluster import KMeansParams, kmeans_fit
 from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClusters
 from inkscan.hsi_cube import reference_image
-from inkscan import synth
+from inkscan import scoring, synth
 from inkscan.rng import SplitMix64, normal_block, polar_block
 from inkscan.segment import (
     EvalReport,
@@ -38,6 +38,13 @@ def independent_best_accuracy(pred, truth):
                 matched += int(((pred.labels == p) & (truth.labels == t)).sum())
             best = max(best, matched)
     return best / truth_ink
+
+
+def bincount_confusion(pred, truth):
+    """Oracle: numpy's bincount of truth * side + pred codes, the counter eval once used."""
+    side = max(pred.k, truth.k) + 1
+    flat = truth.labels.ravel().astype(np.int64) * side + pred.labels.ravel()
+    return np.bincount(flat, minlength=side * side).reshape(side, side)
 
 
 def small_spec(**overrides):
@@ -314,6 +321,29 @@ class TestConfusion:
         for label in range(5):
             assert counts[label].sum() == int((truth.labels == label).sum())
             assert counts[:, label].sum() == int((pred.labels == label).sum())
+
+    @pytest.mark.parametrize("case", ["random-8-bit", "1x1", "all-background", "disjoint"])
+    def test_pair_counter_matches_bincount_oracle(self, rng, case):
+        """The plain-Python counter eval runs, on a label map as eval reads it and as the
+        library holds it, equals numpy's bincount for any 8-bit labels."""
+        pairs = {
+            "1x1": [(np.array([[7]]), 7, np.array([[0]]), 3)],
+            "all-background": [(np.zeros((5, 3), dtype=int), 4, np.zeros((5, 3), dtype=int), 2)],
+            "disjoint": [(rng.integers(4, 10, size=(6, 9)), 9,
+                          rng.integers(1, 4, size=(6, 9)), 3)],
+            "random-8-bit": [(rng.integers(0, kp + 1, size=(h, w)), kp,
+                              rng.integers(0, kt + 1, size=(h, w)), kt)
+                             for h, w, kp, kt in ((1, 700, 255, 255), (37, 29, 255, 17),
+                                                  (64, 64, 3, 255), (9, 11, 200, 254))],
+        }
+        for pred_labels, kp, truth_labels, kt in pairs[case]:
+            pred, truth = SegmentationMap(pred_labels, kp), SegmentationMap(truth_labels, kt)
+            oracle = bincount_confusion(pred, truth)
+            raster = [scoring.LabelRaster(m.labels.tobytes(), m.width, m.height, m.k)
+                      for m in (pred, truth)]
+            assert scoring.confusion_counts(*raster) == oracle.tolist()
+            got = confusion_matrix(pred, truth)
+            assert got.dtype == np.int64 and got.tobytes() == oracle.astype(np.int64).tobytes()
 
     def test_dimension_mismatch(self):
         a = SegmentationMap(np.zeros((2, 2), dtype=int), 1)
