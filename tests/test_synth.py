@@ -47,6 +47,44 @@ def bincount_confusion(pred, truth):
     return np.bincount(flat, minlength=side * side).reshape(side, side)
 
 
+def subset_dp_bijection(pred, truth):
+    """Judge: exact subset DP over the truths taken so far, O(k^2 2^k), tie rule included.
+
+    Pred labels 1..kp take a truth each, in order, or stay unmatched (0); with
+    kp >= kt every truth must be taken, and with kp < kt no pred stays
+    unmatched. Returns the accuracy and the lexicographically smallest optimal
+    {pred: truth} mapping tuple, unmatched sorting first.
+    """
+    counts = bincount_confusion(pred, truth).tolist()
+    kp, kt = pred.k, truth.k
+    spare = max(0, kp - kt)  # unmatched preds every mapping holds
+    taken = [bin(mask).count("1") for mask in range(1 << kt)]
+    # most[p][mask]: most pixels preds p + 1..kp match once `mask` is taken; None = no way
+    most = [[None] * (1 << kt) for _ in range(kp + 1)]
+    most[kp] = [0 if taken[mask] == min(kp, kt) else None for mask in range(1 << kt)]
+
+    def gain(p, mask, t):  # pred p + 1 takes truth t (0 = unmatched); None = no way
+        if t == 0:
+            return most[p + 1][mask] if p - taken[mask] < spare else None
+        if mask >> (t - 1) & 1 or most[p + 1][mask | 1 << (t - 1)] is None:
+            return None
+        return counts[t][p + 1] + most[p + 1][mask | 1 << (t - 1)]
+
+    for p in range(kp - 1, -1, -1):
+        for mask in range(1 << kt):
+            if p - spare <= taken[mask] <= p:  # reachable after p preds
+                gains = [g for t in range(kt + 1) if (g := gain(p, mask, t)) is not None]
+                most[p][mask] = max(gains, default=None)
+    mapping, mask = {}, 0
+    for p in range(kp):
+        t = next(t for t in range(kt + 1) if gain(p, mask, t) == most[p][mask])
+        if t:
+            mapping[p + 1] = t
+            mask |= 1 << (t - 1)
+    truth_ink = sum(map(sum, counts[1:]))
+    return (most[0][0] / truth_ink if truth_ink else 1.0), mapping
+
+
 def small_spec(**overrides):
     base = dict(width=40, height=30, bands=8, ink_count=3, coverage=0.2, seed=5)
     base.update(overrides)
@@ -391,6 +429,17 @@ class TestBestPermutationAccuracy:
             truth = SegmentationMap(rng.integers(0, kt + 1, size=(h, w)), kt)
             report = best_permutation_accuracy(pred, truth)
             assert report.accuracy == independent_best_accuracy(pred, truth)
+
+    def test_matches_subset_dp_judge_on_tie_heavy_maps(self, rng):
+        # at most 15 pixels over up to 64 label pairs: most counts are 0 or 1, so most
+        # mappings tie and the judge's tie rule decides
+        for _ in range(400):
+            kp, kt = (int(k) for k in rng.integers(0, 8, size=2))
+            h, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            pred = SegmentationMap(rng.integers(0, kp + 1, size=(h, w)), kp)
+            truth = SegmentationMap(rng.integers(0, kt + 1, size=(h, w)), kt)
+            accuracy, mapping, _ = scoring.best_bijection(pred, truth)
+            assert (accuracy, mapping) == subset_dp_bijection(pred, truth), (kp, kt)
 
     def test_relabeling_invariance(self, rng):
         truth = SegmentationMap(rng.integers(0, 4, size=(8, 8)), 3)
