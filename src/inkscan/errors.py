@@ -68,7 +68,7 @@ class TooFewSamples(InkscanError):
 # --- segmentation / evaluation ----------------------------------------------
 
 class TooManyClusters(InkscanError):
-    """More clusters than a palette, an 8-bit label map or the eval scorer takes."""
+    """More clusters than a palette or an 8-bit label map takes."""
 
 
 class InvalidSpec(InkscanError, ValueError):

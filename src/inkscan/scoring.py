@@ -1,5 +1,8 @@
 """Label-map scoring in plain Python: pair counts, the best bijection, the table.
 
+The best bijection is one Kuhn-Munkres solve over the pair counts, in exact
+integers, so maps of any 8-bit label count score in O(k^3).
+
 `eval` scores with this module, `netpbm.read_raster` and `errors` alone, so
 it never loads numpy. `segment.confusion_matrix`,
 `segment.best_permutation_accuracy` and `segment.format_confusion` run these
@@ -11,15 +14,12 @@ C-contiguous buffer of row-major 8-bit labels in 0..k: a
 reads.
 """
 
-import itertools
 import sys
 from collections import Counter
 from typing import NamedTuple
 
 from . import netpbm
-from .errors import DimensionMismatch, TooManyClusters
-
-MAX_EXHAUSTIVE_K = 8  # clusters best_bijection scores
+from .errors import DimensionMismatch
 
 
 class LabelRaster(NamedTuple):
@@ -63,34 +63,75 @@ def confusion_counts(pred, truth) -> list[list[int]]:
 
 
 def best_bijection(pred, truth) -> tuple[float, dict, list[list[int]]]:
-    """Score `pred` against `truth` over all label bijections.
+    """Score `pred` against `truth` under the best bijection of their labels.
 
-    Searches every bijection between nonzero predicted and nonzero truth
-    labels (the smaller side padded with "unmatched"), maximizing matched
-    ink pixels; accuracy is over truth ink pixels only. Ties pick the
+    Nonzero predicted labels are matched to nonzero truth labels (the
+    smaller side padded with "unmatched") so that the most ink pixels
+    match; accuracy is over truth ink pixels only. Ties pick the
     lexicographically smallest mapping tuple (unmatched sorts first).
     With no truth ink pixels the accuracy is defined as 1.0. Returns the
     accuracy, the {pred: truth} mapping and `confusion_counts`.
+
+    One Kuhn-Munkres solve finds it, in exact integers: pred p -> truth t
+    costs t * base**(kp - p) - pixels * base**kp with base = kt + 1, so one
+    pixel outweighs all tie terms together, and an unmatched pred costs 0.
     """
-    if pred.k > MAX_EXHAUSTIVE_K or truth.k > MAX_EXHAUSTIVE_K:
-        raise TooManyClusters(f"exhaustive search handles k <= {MAX_EXHAUSTIVE_K}")
     counts = confusion_counts(pred, truth)
     kp, kt = pred.k, truth.k
+    base = kt + 1
+    pixel = base**kp
+    ties = [base ** (kp - p) for p in range(1, kp + 1)]
+    cost = [[t * ties[p - 1] - counts[t][p] * pixel for t in range(1, kt + 1)]
+            for p in range(1, kp + 1)]
+    if kp <= kt:  # every pred takes a truth
+        pairs = _min_cost_assignment(cost)
+    else:  # every truth takes a pred; the other preds stay unmatched
+        pairs = {p: t for t, p in _min_cost_assignment(list(zip(*cost))).items()}
+    mapping = {p + 1: pairs[p] + 1 for p in sorted(pairs)}
+    matched = sum(counts[t][p] for p, t in mapping.items())
     truth_ink = sum(map(sum, counts[1:]))
-
-    # candidate truth assignments for pred labels 1..kp; 0 = unmatched
-    padded = list(range(1, kt + 1)) + [0] * max(0, kp - kt)
-    best_tuple = None
-    best_matched = -1
-    for mapping in sorted(set(itertools.permutations(padded, kp))):
-        matched = sum(counts[t][p + 1] for p, t in enumerate(mapping) if t)
-        if matched > best_matched:
-            best_matched = matched
-            best_tuple = mapping
-
-    accuracy = best_matched / truth_ink if truth_ink else 1.0
-    mapping = {p + 1: t for p, t in enumerate(best_tuple or ()) if t}
+    accuracy = matched / truth_ink if truth_ink else 1.0
     return accuracy, mapping, counts
+
+
+def _min_cost_assignment(cost) -> dict[int, int]:
+    """{row: column} at least total cost; rows <= columns, exact ints.
+
+    Kuhn-Munkres with row and column potentials, O(rows^2 columns): rows
+    join one at a time, each along a shortest augmenting path.
+    """
+    n, m = len(cost), len(cost[0]) if cost else 0
+    u = [0] * (n + 1)  # row potentials; index 0 unused
+    v = [0] * (m + 1)  # column potentials; column 0 is the joining row's start
+    row_of = [0] * (m + 1)  # row (1-based) holding each column; 0 = free
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [None] * (m + 1)  # least reduced cost into each column so far
+        came_from = [0] * (m + 1)
+        tree, off_tree = [0], list(range(1, m + 1))
+        while row_of[j0]:
+            i0 = row_of[j0]
+            row, u0 = cost[i0 - 1], u[i0]
+            delta = None
+            for j in off_tree:
+                reduced = row[j - 1] - u0 - v[j]
+                if slack[j] is None or reduced < slack[j]:
+                    slack[j], came_from[j] = reduced, j0
+                if delta is None or slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in tree:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in off_tree:
+                slack[j] -= delta
+            tree.append(j1)
+            off_tree.remove(j1)
+            j0 = j1
+        while j0:  # shift each column on the path to the row it came from
+            row_of[j0] = row_of[came_from[j0]]
+            j0 = came_from[j0]
+    return {row_of[j] - 1: j - 1 for j in range(1, m + 1) if row_of[j]}
 
 
 def format_confusion(counts) -> str:

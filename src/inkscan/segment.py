@@ -135,8 +135,8 @@ def confusion_matrix(pred: SegmentationMap, truth: SegmentationMap) -> np.ndarra
 def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> EvalReport:
     """Score `pred` against `truth` over all label bijections.
 
-    The search, its tie rule and its k <= 8 cap are `scoring.best_bijection`'s;
-    the report holds its confusion counts as an int64 array.
+    The solver and its tie rule are `scoring.best_bijection`'s; the report
+    holds its confusion counts as an int64 array.
     """
     accuracy, mapping, counts = scoring.best_bijection(pred, truth)
     return EvalReport(accuracy=accuracy, mapping=mapping,

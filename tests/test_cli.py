@@ -640,16 +640,23 @@ class TestEval:
         assert main(["eval", str(padded), str(truth)]) == 0
         assert capsys.readouterr() == expected
 
-    def test_more_than_8_labels_exits_1_with_one_line(self, tmp_path, capsys):
+    def test_nine_labels_score_one_against_themselves(self, tmp_path, capsys):
         doc = tmp_path / "doc"
         assert main(["synth", "--out-dir", str(doc), "--width", "60", "--height", "48",
                      "--bands", "4", "--inks", "9", "--coverage", "0.5", "--seed", "3"]) == 0
         assert read_label_pgm(doc / "truth.pgm").k == 9
         capsys.readouterr()
         code = main(["eval", str(doc / "truth.pgm"), str(doc / "truth.pgm")])
-        assert code == 1
+        assert code == 0
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "inkscan eval: exhaustive search handles k <= 8\n")
+        lines = out.splitlines()
+        assert err == ""
+        assert lines[:2] == ["accuracy=1.000000",
+                             "mapping: " + " ".join(f"{p}->{p}" for p in range(1, 10))]
+        table = [row.split() for row in lines[2:]]
+        assert len(table) == 11 and table[0] == ["truth\\pred", *map(str, range(10))]
+        for i, row in enumerate(table[1:]):  # every pixel on the diagonal
+            assert row[0] == str(i) and [v != "0" for v in row[1:]] == [j == i for j in range(10)]
 
     def test_json_summary(self, synth_dir, capsys):
         code = main(["eval", str(synth_dir / "truth.pgm"), str(synth_dir / "truth.pgm"),

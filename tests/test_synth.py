@@ -8,7 +8,7 @@ import pytest
 
 from inkscan.binarize import ThresholdConfig, extract_spectra, threshold_binary
 from inkscan.cluster import KMeansParams, kmeans_fit
-from inkscan.errors import DimensionMismatch, InvalidSpec, TooManyClusters
+from inkscan.errors import DimensionMismatch, InvalidSpec
 from inkscan.hsi_cube import reference_image
 from inkscan import scoring, synth
 from inkscan.rng import SplitMix64, normal_block, polar_block
@@ -431,10 +431,10 @@ class TestBestPermutationAccuracy:
             assert report.accuracy == independent_best_accuracy(pred, truth)
 
     def test_matches_subset_dp_judge_on_tie_heavy_maps(self, rng):
-        # at most 15 pixels over up to 64 label pairs: most counts are 0 or 1, so most
+        # at most 15 pixels over up to 169 label pairs: most counts are 0 or 1, so most
         # mappings tie and the judge's tie rule decides
         for _ in range(400):
-            kp, kt = (int(k) for k in rng.integers(0, 8, size=2))
+            kp, kt = (int(k) for k in rng.integers(0, 13, size=2))
             h, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
             pred = SegmentationMap(rng.integers(0, kp + 1, size=(h, w)), kp)
             truth = SegmentationMap(rng.integers(0, kt + 1, size=(h, w)), kt)
@@ -457,10 +457,24 @@ class TestBestPermutationAccuracy:
         truth_ink = int(report.confusion[1:, :].sum())
         assert report.accuracy == matched / truth_ink
 
-    def test_k_above_exhaustive_limit(self):
-        segmap = SegmentationMap(np.zeros((2, 2), dtype=int), 9)
-        with pytest.raises(TooManyClusters, match="exhaustive search handles k <= 8"):
-            best_permutation_accuracy(segmap, segmap)
+    @pytest.mark.parametrize("k", [9, 10, 11, 12])
+    def test_k_above_eight_matches_subset_dp_judge(self, rng, k):
+        for kp, kt in ((k, k), (k, 8), (8, k)):
+            truth_labels = rng.integers(0, kt + 1, size=(12, 12))
+            noisy = rng.integers(0, kp + 1, size=(12, 12))
+            pred_labels = np.where(rng.random((12, 12)) < 0.5, truth_labels % (kp + 1), noisy)
+            pred, truth = SegmentationMap(pred_labels, kp), SegmentationMap(truth_labels, kt)
+            report = best_permutation_accuracy(pred, truth)
+            assert (report.accuracy, report.mapping) == subset_dp_bijection(pred, truth)
+
+    def test_all_255_labels_against_a_relabeled_copy(self, rng):
+        # tie terms reach 256**255, past any float: a float step in the solver fails here
+        truth = SegmentationMap(np.arange(256).reshape(16, 16), 255)
+        relabel = np.concatenate([[0], rng.permutation(np.arange(1, 256))])
+        pred = SegmentationMap(relabel[truth.labels], 255)
+        accuracy, mapping, _ = scoring.best_bijection(pred, truth)
+        assert accuracy == 1.0
+        assert mapping == {int(relabel[t]): t for t in range(1, 256)}
 
     def test_no_truth_ink_defined_as_one(self):
         pred = SegmentationMap(np.array([[1, 0]]), 1)
