@@ -23,13 +23,14 @@ the rows go too, and that one float64 copy is divided in place. `synth`
 writes the page band by band as `synth.synth_bands` draws it, with at most
 two bands drawn ahead of the one being written, so it never holds the
 whole cube; truth, manifest and sidecar follow the last band.
-Runtime/data failures, running out of memory included, exit 1 with a
-one-line message on stderr; success exits 0.
+Runtime/data failures, running out of memory and a stdout that cannot be
+written included, exit 1 with a one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -352,6 +353,15 @@ _COMMANDS = {
 }
 
 
+def _drop_unwritable_stdout() -> None:
+    """Point stdout at the null device if it cannot take what it holds, so
+    the interpreter's own flush at exit does not fail a second time."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -359,8 +369,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a full disk or a closed pipe fails here, not at exit
+        return code
     except (InkscanError, OSError, MemoryError) as exc:
+        _drop_unwritable_stdout()
         print(f"inkscan {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2 if isinstance(exc, InvalidSpec) else 1
 

@@ -13,11 +13,9 @@ calling thread:
   wins, ties to the lowest restart index.
 
 Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
-`_sq_dists`, has the bits of NumPy's row sum
-((x - c) * (x - c)).sum(axis=-1), computed band-major as `SpectrumSet`
-stores the samples: B band rows minus the k centroids make one (B, k, m)
-block per call, squared in place, and the band planes are added in
-NumPy's pairwise row-sum order (`_fold_bands`).
+`_sq_dists`, is NumPy's row sum ((x - c) * (x - c)).sum(axis=-1) on
+row-major samples: the differences are laid out (k, m, B) in C order, so
+each distance is summed along its contiguous bands.
 
 k-means++ init needs every sample's distance to one picked sample, and
 those distances feed sampling sums, so they must have the exact kernel's
@@ -36,7 +34,8 @@ bound proves the exact kernel picks the same centroid, and asks the
 exact kernel everywhere else, so BLAS's rounding and thread count decide
 only which samples fall back; `_cluster_sums` sums 8-bit samples by
 matmul, as every partial sum is then an exact integer, which any
-summation order gives, and otherwise by bincount in sample order.
+summation order gives, and otherwise as NumPy sums each cluster's member
+rows, row-major.
 """
 
 from dataclasses import dataclass
@@ -138,43 +137,13 @@ class _Kernel:
 def _sq_dists(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(k, m) squared distances of the samples in (B, m) band rows to each centroid.
 
-    Bit-equal to ((x - c) * (x - c)).sum(axis=-1) per sample. Every
-    operation is elementwise along m, so a sample's distances have the
+    ((x - c) * (x - c)).sum(axis=-1) on C-ordered (k, m, B) differences.
+    Each distance is summed on its own, so a sample's distances have the
     same bits whichever columns it shares the call with.
     """
-    t = rows[:, None, :] - centroids.T[:, :, None]
+    t = np.subtract(rows.T[None], centroids[:, None, :], order="C")
     t *= t
-    _fold_bands(t, 0, len(t))
-    return t[0]
-
-
-def _fold_bands(t: np.ndarray, lo: int, n: int) -> None:
-    """Sum planes t[lo:lo+n] into t[lo] in NumPy's pairwise row-sum order.
-
-    NumPy adds a row of n doubles sequentially below 8, with eight
-    running accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    plus a sequential tail up to 128, and by halving (at a multiple of 8)
-    above that. Doing the same plane by plane gives every distance the
-    bits of the row-wise sum. (NumPy's short-row sum starts from 0.0;
-    squares are never -0.0, so skipping that add changes no bit.)
-    """
-    if n < 8:
-        for i in range(lo + 1, lo + n):
-            t[lo] += t[i]
-    elif n <= 128:
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            t[lo : lo + 8] += t[i : i + 8]
-        for step in (1, 2, 4):
-            t[lo : lo + 8 : 2 * step] += t[lo + step : lo + 8 : 2 * step]
-        for i in range(end, lo + n):
-            t[lo] += t[i]
-    else:
-        half = n // 2
-        half -= half % 8
-        _fold_bands(t, lo, half)
-        _fold_bands(t, lo + half, n - half)
-        t[lo] += t[lo + half]
+    return t.sum(axis=-1)
 
 
 def _sq_dist_to(kern: _Kernel, i: int) -> np.ndarray:
@@ -238,10 +207,10 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
 def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
     """Per-cluster sums (k x B) and counts of the samples under `labels`.
 
-    One bincount per band row and chunk adds each cluster's members in
-    sample order, as NumPy sums a cluster's member rows when B > 1; chunk
-    partials are added in chunk order onto 0.0. On 8-bit samples every
-    such sum is exact, so a one-hot matmul per chunk has the same bits.
+    Per chunk, each cluster's member rows are gathered row-major and
+    summed by NumPy, members.sum(axis=0); chunk partials are added in
+    chunk order onto 0.0. On 8-bit samples every such sum is exact, so a
+    one-hot matmul per chunk has the same bits.
     """
     x_t = kern.x.T
     sums = np.zeros((x_t.shape[0], k))
@@ -250,10 +219,9 @@ def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
         lab, rows = labels[s:e], x_t[:, s:e]
         if kern.integral:
             sums += rows @ (ids == lab).astype(np.float64).T
-        elif len(rows) == 1:  # NumPy sums a one-column member block pairwise
-            sums += [[rows[0, lab == c].sum() for c in range(k)]]
         else:
-            sums += [np.bincount(lab, weights=row, minlength=k) for row in rows]
+            for c in range(k):  # NumPy gathers C-ordered already; the call pins it
+                sums[:, c] += np.ascontiguousarray(rows.T[lab == c]).sum(axis=0)
     return sums.T, np.bincount(labels, minlength=k)
 
 

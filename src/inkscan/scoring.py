@@ -4,9 +4,9 @@ The best bijection is one Kuhn-Munkres solve over the pair counts, in exact
 integers, so maps of any 8-bit label count score in O(k^3).
 
 `eval` scores with this module, `netpbm.read_raster` and `errors` alone, so
-it never loads numpy. `segment.confusion_matrix`,
-`segment.best_permutation_accuracy` and `segment.format_confusion` run these
-same functions and hand their counts back as ndarrays.
+it never loads numpy. `segment.confusion_matrix` and
+`segment.best_permutation_accuracy` run these same functions and hand
+their counts back as ndarrays.
 
 A map here is anything with `width`, `height`, `k` and `labels`, a
 C-contiguous buffer of row-major 8-bit labels in 0..k: a

@@ -15,7 +15,6 @@ from .binarize import ForegroundMask, SpectrumSet
 from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
-from .scoring import format_confusion  # noqa: F401 (part of this module's API)
 
 # row 0 is the background, row c the color of cluster c; byte-stable across runs
 _COLORS = np.array([

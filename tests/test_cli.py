@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: exit-code families, determinism, composition."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
 import tracemalloc
 from fnmatch import fnmatchcase
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,8 +278,9 @@ class TestSegment:
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
         """BLAS scores only choose which samples the exact kernel labels, so
-        OpenBLAS's thread count moves no output byte. The page's foreground
-        spans more than one 4096-sample chunk."""
+        OpenBLAS's thread count moves no output byte, on 8-bit and on
+        unit-length samples. The page's foreground spans more than one
+        4096-sample chunk."""
         doc = tmp_path / "doc"
         assert main(["synth", "--out-dir", str(doc), "--width", "96", "--height", "96",
                      "--bands", "33", "--inks", "5", "--noise-sigma", "8",
@@ -286,24 +289,30 @@ class TestSegment:
         runs = []
         for threads in ("1", "2"):
             env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
-            result = subprocess.run(
-                [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
-                 "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
-                 "--out-render", str(render), "--out-labels", str(labels), "--json"],
-                capture_output=True, env=env,
-            )
-            assert result.returncode == 0, result.stderr
-            runs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
-        assert json.loads(runs[0][0])["pixels"] > 4096
+            outputs = []
+            for normalize in ("none", "unit-length"):  # 8-bit and real-valued samples
+                result = subprocess.run(
+                    [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
+                     "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
+                     "--normalize", normalize, "--out-render", str(render),
+                     "--out-labels", str(labels), "--json"],
+                    capture_output=True, env=env,
+                )
+                assert result.returncode == 0, result.stderr
+                outputs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
+            runs.append(outputs)
+        assert json.loads(runs[0][0][0])["pixels"] > 4096
         assert runs[0] == runs[1]
 
     def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
         """NumPy picks its SIMD loops at run time, and np.log's AVX-512 loop
         rounds differently from its AVX2 baseline in some last bits. With the
         AVX-512 targets switched off, `synth` and `segment` still write the
-        same bytes. This covers NumPy's AVX2 baseline on an AVX-512 host,
-        not a host without AVX2 or another architecture."""
+        same bytes, 8-bit and unit-length alike. This covers NumPy's AVX2
+        baseline on an AVX-512 host, not a host without AVX2 or another
+        architecture."""
         doc, render, labels = tmp_path / "doc", tmp_path / "r.ppm", tmp_path / "l.pgm"
+        unit_render, unit_labels = tmp_path / "ru.ppm", tmp_path / "lu.pgm"
         runs = []
         for env in (subprocess_env(NPY_DISABLE_CPU_FEATURES=""), avx512_off_env()):
             outputs = []
@@ -312,14 +321,18 @@ class TestSegment:
                           "--coverage", "0.6", "--seed", "5", "--json"],
                          ["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
                           "--seed", "0", "--restarts", "2", "--out-render", str(render),
-                          "--out-labels", str(labels), "--json"]):
+                          "--out-labels", str(labels), "--json"],
+                         ["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
+                          "--seed", "0", "--restarts", "2", "--normalize", "unit-length",
+                          "--out-render", str(unit_render), "--out-labels", str(unit_labels),
+                          "--json"]):
                 result = subprocess.run([sys.executable, "-m", "inkscan", *args],
                                         capture_output=True, env=env)
                 assert result.returncode == 0, result.stderr
                 outputs.append(result.stdout)
             files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
             runs.append((outputs, {p: p.read_bytes() for p in files}))
-        assert len(runs[0][1]) == 33 + 5  # bands, manifest, truth, sidecar, render, labels
+        assert len(runs[0][1]) == 33 + 7  # bands, manifest, truth, sidecar, 2 renders and labels
         assert runs[0] == runs[1]
 
     def test_k1_single_ink_color(self, synth_dir, tmp_path, capsys):
@@ -664,6 +677,73 @@ class TestEval:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"] == 1.0
+
+
+@pytest.fixture(scope="module")
+def small_page(tmp_path_factory):
+    doc = tmp_path_factory.mktemp("failures") / "doc"
+    assert main(["synth", "--out-dir", str(doc), "--width", "40", "--height", "32",
+                 "--bands", "4", "--inks", "3", "--noise-sigma", "3", "--coverage", "0.3",
+                 "--seed", "2"]) == 0
+    return doc
+
+
+def command_args(command, doc, tmp):
+    """argv for `command` on `doc`, and the first file it writes (None for eval)."""
+    return {
+        "bands": (["bands", str(doc / "bands"), "--bands", "1", "--out-dir", str(tmp / "v")],
+                  tmp / "v" / "band_1.pgm"),
+        "spectra": (["spectra", str(doc / "bands"), "--out", str(tmp / "s.csv")],
+                    tmp / "s.csv"),
+        "segment": (["segment", str(doc / "bands"), "--k", "3", "--out-render",
+                     str(tmp / "r.ppm"), "--out-labels", str(tmp / "l.pgm")], tmp / "r.ppm"),
+        "synth": (["synth", "--out-dir", str(tmp / "d"), "--width", "40", "--height", "32",
+                   "--bands", "4", "--inks", "3", "--seed", "2"],
+                  tmp / "d" / "bands" / "band_1.pgm"),
+        "eval": (["eval", str(doc / "truth.pgm"), str(doc / "truth.pgm")], None),
+    }[command]
+
+
+FAILED_OUTPUTS = [(command, case) for command in ("bands", "spectra", "segment", "synth")
+                  for case in ("file is a directory", "file is /dev/full")] + [
+    (command, case) for command in ("bands", "spectra", "segment", "synth", "eval")
+    for case in ("stdout is /dev/full", "stdout is a closed pipe")]
+
+
+class TestFailedOutput:
+    @pytest.mark.parametrize("command, case", FAILED_OUTPUTS)
+    def test_exits_1_with_one_line(self, small_page, tmp_path, command, case):
+        """A failed write exits 1 with one `inkscan <command>:` line and no
+        traceback, whether stdout is block-buffered or unbuffered."""
+        if "/dev/full" in case and not Path("/dev/full").exists():
+            pytest.skip("no /dev/full")
+        argv, first_file = command_args(command, small_page, tmp_path)
+        if case == "file is a directory":
+            first_file.mkdir(parents=True)
+        elif case == "file is /dev/full":
+            first_file.parent.mkdir(parents=True, exist_ok=True)
+            first_file.symlink_to("/dev/full")
+        for unbuffered in (False, True) if case.startswith("stdout") else (False,):
+            env = subprocess_env()
+            env.pop("PYTHONUNBUFFERED", None)  # block-buffered, Python's default
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            if case == "stdout is a closed pipe":
+                read_end, stdout = os.pipe()
+                os.close(read_end)
+            else:
+                stdout = os.open("/dev/full" if case == "stdout is /dev/full" else os.devnull,
+                                 os.O_WRONLY)
+            try:
+                result = subprocess.run([sys.executable, "-m", "inkscan", *argv],
+                                        stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                        env=env)
+            finally:
+                os.close(stdout)
+            assert result.returncode == 1, (unbuffered, result.stderr)
+            assert result.stderr.startswith(f"inkscan {command}: "), result.stderr
+            assert result.stderr.count("\n") == 1, result.stderr
+            assert "Traceback" not in result.stderr
 
 
 # modules a fresh process must not hold after each command ("import": a bare

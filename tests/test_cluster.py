@@ -1,6 +1,6 @@
 """K-means against brute-force oracles: assignment, inertia, optimality,
-determinism across runs and worker counts, and the band-major distance
-kernel against the broadcast formula it replaces, bit for bit."""
+determinism across runs and worker counts, and the distance kernel and
+cluster sums against the broadcast formulas they compute, bit for bit."""
 
 import itertools
 import math
@@ -467,7 +467,7 @@ class TestParams:
 
 
 class TestKernel:
-    """The band-major kernel against the formulas it replaces."""
+    """The kernel's distances and sums against the NumPy formulas they compute."""
 
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 9, 16, 33, 127, 128, 129, 200, 300])
     def test_distances_bit_equal_to_broadcast(self, b):
@@ -516,7 +516,7 @@ class TestKernel:
         assert assign(centroids, spectra).tolist() == [1, 1, 0]
 
     @pytest.mark.parametrize("n", [1, 4095, 4097, 10000])
-    @pytest.mark.parametrize("b", [1, 2, 33])
+    @pytest.mark.parametrize("b", [1, 2, 8, 9, 33, 129, 256])
     def test_fused_sums_bit_equal_to_chunked_accumulate(self, n, b):
         gen = np.random.default_rng(n + b)
         x = gen.normal(size=(n, b)) * 19.7
@@ -561,7 +561,7 @@ class TestKernel:
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "b1", "at 2^53",
                                       "past 2^53"])
     def test_exact_sums_bit_equal_to_chunked_accumulate(self, case):
-        """8-bit samples take the one-hot matmul; the bits stay bincount's."""
+        """8-bit samples take the one-hot matmul; the bits stay the member-row sums'."""
         gen = np.random.default_rng(7)
         n, b, k = 10000, 33, 5
         if case == "8-bit":
@@ -578,7 +578,7 @@ class TestKernel:
         labels = gen.integers(0, k - 1, size=n).astype(np.int32)  # cluster k-1 stays empty
         if "2^53" in case:
             # N * max|x| at 2^53 or just past it, every sample in cluster 0: past it,
-            # the sums leave the exact integers and only sample order gives bincount's bits
+            # the sums leave the exact integers and only sample order gives the oracle's bits
             peak = 2**53 // n + (case == "past 2^53")
             x = peak - gen.integers(0, 2, size=(n, b)).astype(np.float64)
             x[0] = peak
@@ -741,7 +741,7 @@ class TestKernel:
         """Six distinct 8-bit spectra, many times over, with k = 8: clusters
         go empty and are reseeded from their centroids by the exact kernel.
         The fit has the bytes of one that takes the exact kernel and the
-        bincount sums throughout."""
+        member-row sums throughout."""
         gen = np.random.default_rng(19)
         for b in (1, 2, 7, 33):
             rows = gen.integers(0, 256, size=(b, 6)).astype(np.uint8)[:, gen.integers(0, 6, 5000)]
