@@ -3,10 +3,16 @@
 The best bijection is one Kuhn-Munkres solve over the pair counts, in exact
 integers, so maps of any 8-bit label count score in O(k^3).
 
+The pair counter first drops, in one C pass over the two maps, every pixel
+both maps call background, then counts the (truth, pred) pairs of the rest
+with a `Counter`. So its cost follows the ink pixels; a page with no
+background pixel gains nothing from the pass and costs about as much as
+counting every pixel.
+
 `eval` scores with this module, `netpbm.read_raster` and `errors` alone, so
 it never loads numpy. `segment.confusion_matrix` and
 `segment.best_permutation_accuracy` run these same functions and hand
-their counts back as ndarrays.
+their counts back as ndarrays, so library callers share the counter too.
 
 A map here is anything with `width`, `height`, `k` and `labels`, a
 C-contiguous buffer of row-major 8-bit labels in 0..k: a
@@ -43,8 +49,11 @@ def read_label_raster(path) -> LabelRaster:
 def confusion_counts(pred, truth) -> list[list[int]]:
     """(K+1) x (K+1) counts, K the larger k; entry [i][j] = pixels with truth i, predicted j.
 
-    Each pixel's two labels are packed into one 16-bit code and the codes
-    counted, so the counts are exact for any 8-bit labels.
+    Each pixel becomes a 3-byte lane (truth, pred, 1), and one C pass deletes
+    the background/background lanes: the marker byte is never 0, so the
+    pattern 00 00 01 matches whole lanes only. The lanes left are packed
+    into 16-bit (truth, pred) codes and counted, so the counts are exact
+    for any 8-bit labels; entry [0][0] is the number of lanes deleted.
     """
     if (pred.height, pred.width) != (truth.height, truth.width):
         raise DimensionMismatch(
@@ -52,13 +61,21 @@ def confusion_counts(pred, truth) -> list[list[int]]:
             f"truth is {truth.width}x{truth.height}"
         )
     side = max(pred.k, truth.k) + 1
-    codes = bytearray(2 * pred.width * pred.height)
-    codes[0::2] = memoryview(truth.labels).cast("B")
-    codes[1::2] = memoryview(pred.labels).cast("B")
+    n = pred.width * pred.height
+    lanes = bytearray(b"\x01") * (3 * n)
+    lanes[0::3] = memoryview(truth.labels).cast("B")
+    lanes[1::3] = memoryview(pred.labels).cast("B")
+    ink = lanes.replace(b"\0\0\x01", b"")
+    del lanes  # so the lanes and the codes are never alive together
+    m = len(ink) // 3
+    codes = bytearray(2 * m)
+    codes[0::2] = ink[0::3]
+    codes[1::2] = ink[1::3]
     counts = [[0] * side for _ in range(side)]
-    for code, n in Counter(memoryview(codes).cast("H")).items():
+    for code, count in Counter(memoryview(codes).cast("H")).items():
         t, p = code.to_bytes(2, sys.byteorder)  # the code's two bytes in memory order
-        counts[t][p] = n
+        counts[t][p] = count
+    counts[0][0] = n - m
     return counts
 
 

@@ -3,14 +3,15 @@
 Map labels use 0 for background and 1..k for cluster id + 1, held as
 uint8 with k <= 255, so a single 8-bit PGM channel carries the whole
 segmentation losslessly. Maps are scored against a truth map by the best
-label bijection, which `scoring` computes without numpy.
+label bijection, which `scoring` computes without numpy; it is imported
+only when a map is scored, so `segment`, `spectra` and `synth` never load it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import netpbm, scoring
+from . import netpbm
 from .binarize import ForegroundMask, SpectrumSet
 from .errors import DimensionMismatch, IoFailure, TooManyClusters
 from .hsi_cube import freeze_array
@@ -128,6 +129,8 @@ class EvalReport:
 
 def confusion_matrix(pred: SegmentationMap, truth: SegmentationMap) -> np.ndarray:
     """(K+1)x(K+1) int64 counts; entry (i, j) = pixels with truth i, predicted j."""
+    from . import scoring
+
     return np.array(scoring.confusion_counts(pred, truth), dtype=np.int64)
 
 
@@ -137,6 +140,8 @@ def best_permutation_accuracy(pred: SegmentationMap, truth: SegmentationMap) -> 
     The solver and its tie rule are `scoring.best_bijection`'s; the report
     holds its confusion counts as an int64 array.
     """
+    from . import scoring
+
     accuracy, mapping, counts = scoring.best_bijection(pred, truth)
     return EvalReport(accuracy=accuracy, mapping=mapping,
                       confusion=np.array(counts, dtype=np.int64))

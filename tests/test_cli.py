@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -746,16 +747,53 @@ class TestFailedOutput:
             assert "Traceback" not in result.stderr
 
 
+FAILED_INPUTS = [(command, case) for command in ("bands", "spectra", "segment")
+                 for case in ("band is truncated", "band is a directory", "manifest is not text")]
+
+
+class TestFailedInput:
+    @pytest.mark.parametrize("command, case", FAILED_INPUTS)
+    def test_exits_1_with_one_line(self, small_page, tmp_path, command, case):
+        """A page with a bad input file exits 1 with one `inkscan <command>:` line
+        that names the file, and no traceback."""
+        doc = tmp_path / "doc"
+        shutil.copytree(small_page, doc)
+        argv, _ = command_args(command, doc, tmp_path)
+        if command == "bands":
+            argv[argv.index("--bands") + 1] = "1,2"
+        bad = doc / "bands" / "band_2.pgm"
+        if case == "band is truncated":
+            bad.write_bytes(bad.read_bytes()[:-1])
+        elif case == "band is a directory":
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad = doc / "manifest.txt"
+            bad.write_bytes(b"\xff\xfe\x00" + bad.read_bytes())
+            argv[1] = str(bad)
+        result = subprocess.run([sys.executable, "-m", "inkscan", *argv],
+                                capture_output=True, text=True, env=subprocess_env())
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(f"inkscan {command}: "), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert str(bad) in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 # modules a fresh process must not hold after each command ("import": a bare
 # `import inkscan`; "help": `inkscan --help`); np.unique imports numpy.ma,
 # 15-18 ms a run segment has no use for; numpy's import is about half of eval's time
 UNWANTED = {
     "import": ["inkscan.*"],
     "help": ["numpy"],
-    "bands": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
-    "spectra": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging"],
+    "bands": ["inkscan.cluster", "inkscan.synth", "inkscan.scoring", "concurrent.futures",
+              "logging"],
+    "spectra": ["inkscan.cluster", "inkscan.synth", "inkscan.scoring", "concurrent.futures",
+                "logging"],
     "eval": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging", "numpy"],
-    "segment": ["inkscan.synth", "concurrent.futures", "logging", "numpy.ma"],
+    "segment": ["inkscan.synth", "inkscan.scoring", "concurrent.futures", "logging",
+                "numpy.ma"],
+    "synth": ["inkscan.cluster", "inkscan.scoring"],
 }
 
 

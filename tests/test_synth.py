@@ -360,10 +360,20 @@ class TestConfusion:
             assert counts[label].sum() == int((truth.labels == label).sum())
             assert counts[:, label].sum() == int((pred.labels == label).sum())
 
-    @pytest.mark.parametrize("case", ["random-8-bit", "1x1", "all-background", "disjoint"])
+    @pytest.mark.parametrize("case", ["random-8-bit", "1x1", "all-background", "disjoint",
+                                      "no-background", "every-pair", "zero-one-runs",
+                                      "one-row-one-column"])
     def test_pair_counter_matches_bincount_oracle(self, rng, case):
         """The plain-Python counter eval runs, on a label map as eval reads it and as the
-        library holds it, equals numpy's bincount for any 8-bit labels."""
+        library holds it, equals numpy's bincount for any 8-bit labels.
+
+        The counter deletes background/background pixels as 00 00 01 byte runs, so
+        "zero-one-runs" lays 0/1 labels that spell that run across pixel boundaries:
+        truth and pred each read 0, 0, 1, ... with pred 1 and 2 pixels behind, and
+        every sequence of three 0/1 (truth, pred) pixels."""
+        spelled = np.tile([0, 0, 1], 64)
+        windows = np.array(list(itertools.product((0, 1), repeat=6))).reshape(-1, 2)
+        rows, columns = np.indices((256, 256))
         pairs = {
             "1x1": [(np.array([[7]]), 7, np.array([[0]]), 3)],
             "all-background": [(np.zeros((5, 3), dtype=int), 4, np.zeros((5, 3), dtype=int), 2)],
@@ -373,6 +383,15 @@ class TestConfusion:
                               rng.integers(0, kt + 1, size=(h, w)), kt)
                              for h, w, kp, kt in ((1, 700, 255, 255), (37, 29, 255, 17),
                                                   (64, 64, 3, 255), (9, 11, 200, 254))],
+            "no-background": [(rng.integers(1, 6, size=(40, 50)), 5,
+                               rng.integers(1, 4, size=(40, 50)), 3)],
+            "every-pair": [(columns, 255, rows, 255)],
+            "zero-one-runs": [(np.roll(spelled, shift).reshape(8, 24), 1,
+                               spelled.reshape(8, 24), 1) for shift in (1, 2)]
+                             + [(windows[:, 1].reshape(8, 24), 1, windows[:, 0].reshape(8, 24), 1)],
+            "one-row-one-column": [(rng.integers(0, 3, size=shape), 2,
+                                    rng.integers(0, 3, size=shape), 2)
+                                   for shape in ((1, 301), (301, 1))],
         }
         for pred_labels, kp, truth_labels, kt in pairs[case]:
             pred, truth = SegmentationMap(pred_labels, kp), SegmentationMap(truth_labels, kt)
