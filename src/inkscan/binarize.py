@@ -72,9 +72,10 @@ class SpectrumSet:
     uint8 rows of `gather_foreground`, `SpectrumSet(rows.T, coords)` is the
     one promotion to float64: the cast writes the F-ordered array directly.
 
-    `eight_bit`, derived here and never passed, says whether the set has
-    bands and every value is an 8-bit level: uint8 input is so by type, any
-    other input is scanned once. Clustering and the CSV export read it.
+    `eight_bit`, derived here and never passed, says whether the set was
+    built from uint8 rows and has bands. Clustering and the CSV export read
+    it for their 8-bit fast paths; float input, whatever values it holds,
+    takes their general paths, which give the same bits, only slower.
     """
 
     vectors: np.ndarray
@@ -91,7 +92,7 @@ class SpectrumSet:
             raise ValueError(
                 f"{vectors.shape[0]} spectra but {coords.shape[0]} coordinates"
             )
-        object.__setattr__(self, "eight_bit", vectors.shape[1] > 0 and (uint8 or _levels(vectors)))
+        object.__setattr__(self, "eight_bit", uint8 and vectors.shape[1] > 0)
 
     @property
     def count(self) -> int:
@@ -100,18 +101,6 @@ class SpectrumSet:
     @property
     def bands(self) -> int:
         return self.vectors.shape[1]
-
-
-def _levels(vectors: np.ndarray) -> bool:
-    """Whether every value is an integer in 0..255 with its sign bit clear
-    (repr prints -0.0 as '-0.0'), scanned 4,096 rows at a time."""
-    for start in range(0, len(vectors), 4096):
-        rows = vectors[start : start + 4096]
-        # compare before casting: NaN, inf and out-of-range floats fail here
-        if (not ((rows >= 0) & (rows <= 255)).all() or not (rows.astype(np.uint8) == rows).all()
-                or np.signbit(rows).any()):
-            return False
-    return True
 
 
 def threshold_binary(image: GrayImage, config: ThresholdConfig) -> ForegroundMask:

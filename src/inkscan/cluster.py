@@ -19,23 +19,24 @@ each distance is summed along its contiguous bands.
 
 k-means++ init needs every sample's distance to one picked sample, and
 those distances feed sampling sums, so they must have the exact kernel's
-bits. On a set that `SpectrumSet.eight_bit` marks, as `extract_spectra`
-gives them, `_sq_dist_to` takes them from one matvec, |x|^2 + |c|^2 - 2 c.x:
-sample and point are then 8-bit levels, so every term and partial sum is
-an exact integer, whatever order BLAS sums in. Any other set (unit-length
-samples) takes the exact kernel, as does the empty-cluster reseed, which
-measures from a centroid (`_exact_sq_dist_to`). k-means++ makes one such
-pass per pick after the first, k - 1 in all: nothing reads the distances
-to the last pick.
+bits. On a set built from uint8 rows, which `SpectrumSet.eight_bit` marks
+and `extract_spectra` gives, `_sq_dist_to` takes them from one matvec,
+|x|^2 + |c|^2 - 2 c.x: sample and point are then 8-bit levels, so every
+term and partial sum is an exact integer, whatever order BLAS sums in.
+Any other set takes the exact kernel: unit-length samples, and float
+input even where it holds 8-bit levels, with the same bits, only slower.
+So does the empty-cluster reseed, which measures from a centroid
+(`_exact_sq_dist_to`). k-means++ makes one such pass per pick after the
+first, k - 1 in all: nothing reads the distances to the last pick.
 
 A Lloyd iteration uses BLAS without letting it move a bit either:
 `_assign_labels` takes a label from a BLAS matmul only where an error
 bound proves the exact kernel picks the same centroid, and asks the
 exact kernel everywhere else, so BLAS's rounding and thread count decide
-only which samples fall back; `_cluster_sums` sums 8-bit samples by
+only which samples fall back; `_cluster_sums` sums a uint8-built set by
 matmul, as every partial sum is then an exact integer, which any
-summation order gives, and otherwise as NumPy sums each cluster's member
-rows, row-major.
+summation order gives, and any other set as NumPy sums each cluster's
+member rows, row-major.
 """
 
 from dataclasses import dataclass
@@ -106,9 +107,10 @@ class _Kernel:
     """The (N, B) samples of one call in fixed chunks, and facts about them.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `integral` is the set's `eight_bit`: every partial sum of samples and
-    every matvec term is then exact, in any order. `sq_norms` and what is
-    derived from it are worked out once, on first use.
+    `integral` is the set's `eight_bit`, true of a set built from uint8
+    rows: every partial sum of samples and every matvec term is then
+    exact, in any order. `sq_norms` and what is derived from it are
+    worked out once, on first use.
     """
 
     def __init__(self, spectra: SpectrumSet):
@@ -149,7 +151,7 @@ def _sq_dists(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _sq_dist_to(kern: _Kernel, i: int) -> np.ndarray:
     """Squared distance of every sample to sample i, with the exact kernel's bits.
 
-    On an 8-bit set the matvec path (see the module docstring) forms only
+    On a uint8-built set the matvec path (see the module docstring) forms only
     integers of magnitude at most 4 B 255^2, all exact; like a sum of
     squares, its result is never -0.0. Any other set takes the exact kernel.
     """
@@ -209,8 +211,8 @@ def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
 
     Per chunk, each cluster's member rows are gathered row-major and
     summed by NumPy, members.sum(axis=0); chunk partials are added in
-    chunk order onto 0.0. On 8-bit samples every such sum is exact, so a
-    one-hot matmul per chunk has the same bits.
+    chunk order onto 0.0. On a set built from uint8 every such sum is
+    exact, so a one-hot matmul per chunk has the same bits.
     """
     x_t = kern.x.T
     sums = np.zeros((x_t.shape[0], k))

@@ -172,10 +172,11 @@ def _csv_blocks(spectra: SpectrumSet, rows: np.ndarray | None):
     """Yield the bytes of the `x,y,b1,...,bB` rows, _BLOCK_ROWS rows at a time.
 
     `rows` holds the ascending indices of the rows to write, or is None
-    for all of them; each block's rows are gathered as it is written. An
-    8-bit set's blocks are gathered from _level_table's tokens and the
-    padding deleted; any other set's are formatted value by value with
-    repr. Both give the bytes of the per-value repr rows.
+    for all of them; each block's rows are gathered as it is written. A
+    set built from uint8 (`eight_bit`) has its blocks gathered from
+    _level_table's tokens and the padding deleted; any other set's, float
+    input of 8-bit levels too, are formatted value by value with repr,
+    more slowly. Both give the bytes of the per-value repr rows.
     """
     if spectra.eight_bit:
         table, xy_token = _level_table(spectra.coords)

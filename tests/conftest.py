@@ -31,8 +31,14 @@ def avx512_off_env() -> dict:
 
 
 def make_spectrum_set(vectors) -> SpectrumSet:
-    """Wrap raw (N, B) data in a SpectrumSet with synthetic coordinates."""
-    vectors = np.asarray(vectors, dtype=np.float64)
+    """Wrap raw (N, B) data in a SpectrumSet with synthetic coordinates.
+
+    uint8 data keeps its dtype, so the set is `eight_bit`; any other data
+    is cast to float64 and is not.
+    """
+    vectors = np.asarray(vectors)
+    if vectors.dtype != np.uint8:
+        vectors = vectors.astype(np.float64)
     coords = np.column_stack([np.arange(len(vectors)), np.zeros(len(vectors))])
     return SpectrumSet(vectors, coords)
 

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from inkscan import binarize
 from inkscan.binarize import (
     KEEP_AT_OR_ABOVE,
     KEEP_BELOW,
@@ -197,10 +196,9 @@ class TestExtractSpectra:
         assert spectra.vectors.tobytes("A") == rows.T.astype(np.float64).tobytes("A")
         assert spectra.coords.tobytes() == coords.tobytes()
 
-    def test_uint8_rows_are_eight_bit_without_a_scan(self, rng, monkeypatch):
+    def test_uint8_rows_are_eight_bit_without_a_scan(self, rng):
         """uint8 input is 8-bit by type; a set with no bands never is. The
         field is derived: a caller can neither pass nor set it."""
-        monkeypatch.setattr(binarize, "_levels", lambda vectors: pytest.fail("scanned"))
         rows = rng.integers(0, 256, size=(7, 20)).astype(np.uint8)
         spectra = SpectrumSet(rows.T, np.zeros((20, 2)))
         assert spectra.eight_bit is True
@@ -210,6 +208,24 @@ class TestExtractSpectra:
             SpectrumSet(rows.T, np.zeros((20, 2)), eight_bit=False)
         with pytest.raises(dataclasses.FrozenInstanceError):
             spectra.eight_bit = False
+
+    @pytest.mark.parametrize("case", ["uint8 levels", "uint8 zero", "uint8 255",
+                                      "float64 levels", "float64 zero", "float64 255",
+                                      "float64 negative zero", "float64 nan"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_eight_bit_is_uint8_input_with_bands(self, rng, case, order):
+        """`eight_bit` is a fact of the input's dtype, never of its values:
+        uint8 input with at least one band always is, float64 input never
+        is, whatever it holds, and a set with no bands never is."""
+        dtype, values = case.split(" ", 1)
+        for n, b in ((1, 1), (5, 3), (4103, 33), (3, 0), (0, 2), (0, 0)):
+            x = rng.integers(0, 256, size=(n, b)).astype(np.float64)
+            if values != "levels":
+                x[...] = {"zero": 0.0, "255": 255.0, "negative zero": -0.0,
+                          "nan": np.nan}[values]
+            spectra = SpectrumSet(np.asarray(x.astype(dtype), order=order), np.zeros((n, 2)))
+            assert spectra.eight_bit is (dtype == "uint8" and b > 0), (n, b)
+            assert spectra.vectors.tobytes("A") == np.asarray(x, order="F").tobytes("A")
 
     def test_spectrum_set_rejects_bad_coords(self):
         with pytest.raises(ValueError, match=r"\(N, 2\) coords"):

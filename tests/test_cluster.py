@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from inkscan import binarize, cluster, segment
+from inkscan import cluster, segment
 from inkscan.binarize import (
     SpectrumSet,
     ThresholdConfig,
@@ -561,7 +561,8 @@ class TestKernel:
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "b1", "at 2^53",
                                       "past 2^53"])
     def test_exact_sums_bit_equal_to_chunked_accumulate(self, case):
-        """8-bit samples take the one-hot matmul; the bits stay the member-row sums'."""
+        """A set built from uint8 takes the one-hot matmul, the empty set too;
+        the bits stay the member-row sums'. Float sets take those sums."""
         gen = np.random.default_rng(7)
         n, b, k = 10000, 33, 5
         if case == "8-bit":
@@ -584,21 +585,16 @@ class TestKernel:
             x[0] = peak
             labels[:] = 0
         for m in (n,) if "2^53" in case else (0, 1, 255, n):
-            # an empty set passes trivially, as does b1's first sample alone (227)
-            want_integral = case == "8-bit" or m == 0 or (case, m) == ("b1", 1)
             for layout in (np.asfortranarray(x[:m]), x[:m]):  # both stored band-major
+                if case == "8-bit":
+                    layout = layout.astype(np.uint8)  # keeps the layout
                 kern = _Kernel(make_spectrum_set(layout))
-                assert kern.integral == want_integral, (case, m)
+                assert kern.integral == (case == "8-bit"), (case, m)
                 sums, counts = _cluster_sums(kern, labels[:m], k)
                 want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
                 assert np.array_equal(bits(sums), bits(want_sums)), (case, m)
                 assert np.array_equal(counts, want_counts)
                 assert counts[k - 1] == 0
-
-    def test_fractions_nan_and_inf_are_not_integral(self):
-        for x in ([[0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[-0.0, 1.0]],
-                  [[-1.0, 1.0]], [[256.0, 1.0]]):
-            assert not _Kernel(make_spectrum_set(x)).integral
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
         points = rng.normal(size=(10000, 6)) * 3.0
@@ -612,54 +608,12 @@ class TestKernel:
             assert first.iterations == other.iterations
             assert first.converged == other.converged
 
-    @pytest.mark.parametrize("case", ["8-bit", "negative", "fractional", "nan", "inf",
-                                      "-inf", "negative zero", "all zero", "huge"])
-    @pytest.mark.parametrize("order", ["F", "C"])
-    def test_peak_matches_per_chunk_scan(self, case, order):
-        """`SpectrumSet.eight_bit`, which `_Kernel.integral` takes, against its
-        definition scanned per chunk: the set has bands, and every sample is
-        an integer in 0..255 with its sign bit clear."""
-        def oracle(x):
-            if not x.shape[1]:
-                return False
-            for s in range(0, x.shape[0], CHUNK_SIZE):
-                rows = x[s:s + CHUNK_SIZE]
-                if not ((np.trunc(rows) == rows) & (rows >= 0) & (rows <= 255)
-                        & ~np.signbit(rows)).all():
-                    return False
-            return True
-
-        gen = np.random.default_rng(len(case))
-        for n, b in ((1, 1), (5, 3), (CHUNK_SIZE + 7, 33), (2 * CHUNK_SIZE, 2)):
-            x = gen.integers(0, 256, size=(n, b)).astype(np.float64)
-            spot = (gen.integers(n), gen.integers(b))
-            if case == "negative":
-                x -= 300.0
-            elif case == "fractional":
-                x[spot] += 0.5
-            elif case in ("nan", "inf", "-inf"):
-                x[spot] = float(case)
-            elif case == "negative zero":
-                x = -np.zeros((n, b))
-            elif case == "all zero":
-                x = np.zeros((n, b))
-            elif case == "huge":
-                x[spot] = -2.0**80
-            x = np.asarray(x, order=order)
-            spectra = SpectrumSet(x, np.zeros((n, 2)))
-            got = spectra.eight_bit
-            assert got == oracle(x), (case, n, b)
-            assert _Kernel(spectra).integral == got, (case, n, b)
-        assert got == (case in ("8-bit", "all zero"))
-        no_bands = np.asarray(np.zeros((3, 0)), order=order)
-        assert not SpectrumSet(no_bands, np.zeros((3, 2))).eight_bit and not oracle(no_bands)
-
     @pytest.mark.parametrize("b", [1, 2, 7, 8, 33, 129, 200])
     @pytest.mark.parametrize("case", ["8-bit", "negative", "negative zero", "at bound",
                                       "past bound", "far past bound"])
     def test_matvec_distances_bit_equal_to_exact_kernel(self, b, case, monkeypatch):
-        """On an 8-bit set the distances to any sample take one matvec, with
-        the exact kernel's bits; any other set (signed, -0.0, past 255) takes
+        """On a set built from uint8 the distances to any sample take one matvec,
+        with the exact kernel's bits; any other set (signed, -0.0, past 255) takes
         the exact kernel itself, which gives the same bits even where a
         matvec's would not, far past 4 B max|x|^2 = 2^53. A reseed measures
         from a centroid by the exact kernel, always: from an integral-valued
@@ -681,7 +635,8 @@ class TestKernel:
             sign = gen.choice([-1.0, 1.0], size=(n, 1))
             x = sign * (peak - gen.integers(0, 4, size=(n, b)))
             x[0] = peak
-        kern = _Kernel(make_spectrum_set(x))  # band-major, as a fit reads it
+        # band-major, as a fit reads it
+        kern = _Kernel(make_spectrum_set(x.astype(np.uint8) if case == "8-bit" else x))
         assert kern.integral == (case == "8-bit")
 
         def exact(point):
@@ -717,7 +672,7 @@ class TestKernel:
         gen = np.random.default_rng(3)
         centers = gen.integers(0, 256, size=(5, 33))
         x = centers[gen.integers(0, 5, size=10000)] + gen.integers(-8, 9, size=(10000, 33))
-        spectra = make_spectrum_set(np.clip(x, 0, 255))
+        spectra = make_spectrum_set(np.clip(x, 0, 255).astype(np.uint8))
         calls, init_calls = [], []
         init_centroids = cluster._init_centroids
 
@@ -740,8 +695,8 @@ class TestKernel:
     def test_reseeding_fit_on_uint8_rows_matches_exact_kernel_fit(self, monkeypatch):
         """Six distinct 8-bit spectra, many times over, with k = 8: clusters
         go empty and are reseeded from their centroids by the exact kernel.
-        The fit has the bytes of one that takes the exact kernel and the
-        member-row sums throughout."""
+        The fit has the bytes of the fit of the same rows as float64, which
+        takes the exact kernel and the member-row sums throughout."""
         gen = np.random.default_rng(19)
         for b in (1, 2, 7, 33):
             rows = gen.integers(0, 256, size=(b, 6)).astype(np.uint8)[:, gen.integers(0, 6, 5000)]
@@ -754,15 +709,9 @@ class TestKernel:
                               lambda *args: reseeds.append(1) or exact_sq_dist_to(*args))
                 got = kmeans_fit(spectra, params)
             assert reseeds, b
-
-            class ExactKernel(_Kernel):
-                def __init__(self, spectra):
-                    super().__init__(spectra)
-                    self.integral = False
-
-            with monkeypatch.context() as patch:
-                patch.setattr(cluster, "_Kernel", ExactKernel)
-                want = kmeans_fit(spectra, params)
+            floats = SpectrumSet(rows.T.astype(np.float64), spectra.coords)
+            assert spectra.eight_bit and not floats.eight_bit
+            want = kmeans_fit(floats, params)
             assert got.centroids.tobytes() == want.centroids.tobytes(), b
             assert got.labels.tobytes() == want.labels.tobytes(), b
             assert repr(got.inertia) == repr(want.inertia), b
@@ -770,20 +719,26 @@ class TestKernel:
 
     def test_extracted_spectra_take_every_fast_path(self, tmp_path, monkeypatch):
         """What `segment` and `spectra` run on by default: the extract_spectra
-        set of an 8-bit page is `eight_bit` by type, unscanned, so the
+        set of an 8-bit page is `eight_bit` by its uint8 rows, so the
         kernel's matvec and matmul and the CSV's token table apply, the
-        table built once; its unit-length rows take the exact paths."""
+        table built once per export; its unit-length rows take the exact
+        paths. The same values as float64 take the general paths and write
+        the same CSV bytes, whole and sampled."""
         cube, _ = synth_document(SynthSpec(width=128, height=96, bands=9, ink_count=3,
                                            noise_sigma=4.0, seed=1))
         tables = []
         level_table = segment._level_table
-        with monkeypatch.context() as patch:
-            patch.setattr(binarize, "_levels", lambda vectors: pytest.fail("scanned"))
-            patch.setattr(segment, "_level_table",
-                          lambda coords: tables.append(1) or level_table(coords))
-            spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
-                                                             ThresholdConfig()))
-            assert spectra.eight_bit and _Kernel(spectra).integral
-            segment.export_spectra_csv(spectra, tmp_path / "s.csv")
-        assert spectra.count > segment._BLOCK_ROWS and tables == [1]
+        monkeypatch.setattr(segment, "_level_table",
+                            lambda coords: tables.append(1) or level_table(coords))
+        spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
+                                                         ThresholdConfig()))
+        assert spectra.eight_bit and _Kernel(spectra).integral
+        floats = SpectrumSet(spectra.vectors, spectra.coords)
+        assert not floats.eight_bit
+        for limit in (None, 1200):  # either fills more than one block
+            fast, general = tmp_path / "fast.csv", tmp_path / "general.csv"
+            segment.export_spectra_csv(spectra, fast, sample_limit=limit, seed=3)
+            segment.export_spectra_csv(floats, general, sample_limit=limit, seed=3)
+            assert fast.read_bytes() == general.read_bytes(), limit
+        assert spectra.count > 1200 > segment._BLOCK_ROWS and tables == [1, 1]
         assert not _Kernel(normalize_spectra(spectra, "unit-length")).integral

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from inkscan import segment
+from inkscan import scoring, segment
 from inkscan.binarize import ForegroundMask, SpectrumSet
 from inkscan.errors import DimensionMismatch, IoFailure, TooManyClusters
 from inkscan.segment import (
@@ -162,6 +162,21 @@ class TestLabelPgm:
         assert back.labels.dtype == np.uint8 and not back.labels.flags.writeable
         assert back.labels.tolist() == [[0, 3], [255, 1]] and back.k == 255
 
+    @pytest.mark.parametrize("k", [0, 5, 255])
+    def test_numpy_free_reader_matches(self, tmp_path, rng, k):
+        """`scoring.read_label_raster`, which `eval` reads with, gives the k and
+        label bytes of `read_label_pgm`: k is the highest label present, here
+        only at the last pixel, with a level below it absent."""
+        labels = rng.integers(0, max(k, 1), size=(37, 23))
+        labels[labels == k // 2] = 0
+        labels[-1, -1] = k
+        write_label_pgm(SegmentationMap(labels, k), tmp_path / "l.pgm")
+        raster = scoring.read_label_raster(tmp_path / "l.pgm")
+        back = read_label_pgm(tmp_path / "l.pgm")
+        assert raster.k == back.k == k
+        assert raster.labels == back.labels.tobytes()
+        assert (raster.width, raster.height) == (back.width, back.height) == (23, 37)
+
 
 class TestPpm:
     def test_write_rejects_empty(self, tmp_path):
@@ -187,8 +202,8 @@ def spy_level_table(monkeypatch) -> list:
 
 
 def level_spectra(rng, n, bands, coord_high=600) -> SpectrumSet:
-    """Integer-valued 0..255 rows, as extracted from an 8-bit cube."""
-    return SpectrumSet(rng.integers(0, 256, size=(n, bands)).astype(float),
+    """A set built from uint8 rows, as extracted from an 8-bit cube."""
+    return SpectrumSet(rng.integers(0, 256, size=(n, bands)).astype(np.uint8),
                        rng.integers(0, coord_high, size=(n, 2)))
 
 
@@ -264,7 +279,7 @@ class TestCsv:
             export_spectra_csv(spectra, path)
             assert path.read_bytes() == oracle_csv(spectra)
             assert f",{value!r}," in path.read_text()
-        assert not builds  # one odd value sends the whole set through repr
+        assert not builds  # a float set is written by repr
 
     def test_real_values_across_block_edge_match_oracle(self, tmp_path, rng):
         spectra = make_spectrum_set(rng.random((_BLOCK_ROWS + 5, 3)) * 300)
@@ -278,7 +293,8 @@ class TestCsv:
         coords = spectra.coords.copy()
         coords[4] = (coord, 7)
         coords[9] = (3, coord)
-        spectra = SpectrumSet(spectra.vectors, coords)
+        spectra = SpectrumSet(spectra.vectors.astype(np.uint8), coords)
+        assert spectra.eight_bit  # the coordinates' tokens come from the table
         path = tmp_path / "s.csv"
         export_spectra_csv(spectra, path)
         assert path.read_bytes() == oracle_csv(spectra)
