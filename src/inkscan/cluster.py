@@ -29,14 +29,17 @@ So does the empty-cluster reseed, which measures from a centroid
 (`_exact_sq_dist_to`). k-means++ makes one such pass per pick after the
 first, k - 1 in all: nothing reads the distances to the last pick.
 
-A Lloyd iteration uses BLAS without letting it move a bit either:
-`_assign_labels` takes a label from a BLAS matmul only where an error
-bound proves the exact kernel picks the same centroid, and asks the
-exact kernel everywhere else, so BLAS's rounding and thread count decide
-only which samples fall back; `_cluster_sums` sums a uint8-built set by
-matmul, as every partial sum is then an exact integer, which any
-summation order gives, and any other set as NumPy sums each cluster's
-member rows, row-major.
+A Lloyd iteration, `_lloyd_pass`, is one loop over the chunks that uses
+BLAS without letting it move a bit either. It takes a label from a BLAS
+matmul only where an error bound proves the exact kernel picks the same
+centroid, and asks the exact kernel everywhere else, so BLAS's rounding
+and thread count decide only which samples fall back. The bound's
+comparison, corrected where the exact kernel decided, is the chunk's
+one-hot label matrix, and the chunk is summed while it is in cache: a
+uint8-built set by one matmul with that matrix, as every partial sum is
+then an exact integer, which any summation order gives, and any other
+set as NumPy sums each cluster's member rows, row-major. `assign` runs
+the same pass without the sums.
 """
 
 from dataclasses import dataclass
@@ -174,8 +177,9 @@ def _exact_sq_dist_to(kern: _Kernel, point: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN scores fall back
-def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> None:
-    """Nearest centroid per sample into `labels`; exact ties to the lowest index.
+def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray, sum_clusters: bool):
+    """Nearest centroid per sample into `labels`, exact ties to the lowest index;
+    with `sum_clusters`, returns each cluster's (k, B) sum and sample count.
 
     A chunk's scores come from one matmul, d = |c|^2 - 2 c.x, the squared
     distance less |x|^2. d + |x|^2 and the exact `_sq_dists` value are both
@@ -183,8 +187,15 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
     only one centroid scores within 4E of a sample's lowest score, it is
     the exact kernel's nearest, by a strict margin. The margin used is
     generous: 4 (B + 4) eps (|x| + max|c|)^2, plus (B + 4) smallest normal
-    doubles for underflow. Every other sample, NaN and inf included, takes
-    the exact kernel.
+    doubles for underflow.
+
+    `near` marks with 1.0 each centroid within the margin, and one product
+    [[1 ... 1], [0 ... k-1]] @ near gives each sample's count of such
+    centroids and, where that count is 1, its label. Every other sample,
+    NaN and inf included, takes the exact kernel, and its column of `near`
+    is rewritten to its label's; `near` is then the one-hot matrix a
+    uint8-built chunk is summed with. Chunk sums are added in chunk order
+    onto 0.0.
     """
     k, bands = centroids.shape
     scale = 4 * (bands + 4) * np.finfo(np.float64).eps
@@ -192,39 +203,33 @@ def _assign_labels(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray) -> 
     minus_2c = -2.0 * centroids  # exact
     c_sq = np.einsum("ij,ij->i", centroids, centroids)[:, None]
     c_max = np.sqrt(c_sq.max())
+    tally = np.array([np.ones(k), np.arange(k)])  # count and label rows
+    x_t = kern.x.T
+    sums = np.zeros((bands, k))
     for s, e in kern.spans:
-        d = minus_2c @ kern.x.T[:, s:e]
+        rows = x_t[:, s:e]
+        d = minus_2c @ rows
         d += c_sq
         best = d.min(axis=0)
-        lab = np.zeros(e - s, dtype=np.intp)
-        for c in range(1, k):  # the unique minimum wherever the margin holds
-            lab[d[c] == best] = c
         best += (kern.norms[s:e] + c_max) ** 2 * scale + tiny
-        unsure = np.flatnonzero((d <= best).sum(axis=0) != 1)
-        if unsure.size:
-            lab[unsure] = _sq_dists(kern.x.T[:, s + unsure], centroids).argmin(axis=0)
+        near = np.less_equal(d, best, out=d)  # the scores are not read again
+        count, lab = tally @ near  # small integers, exact in any order
         labels[s:e] = lab
-
-
-def _cluster_sums(kern: _Kernel, labels: np.ndarray, k: int):
-    """Per-cluster sums (k x B) and counts of the samples under `labels`.
-
-    Per chunk, each cluster's member rows are gathered row-major and
-    summed by NumPy, members.sum(axis=0); chunk partials are added in
-    chunk order onto 0.0. On a set built from uint8 every such sum is
-    exact, so a one-hot matmul per chunk has the same bits.
-    """
-    x_t = kern.x.T
-    sums = np.zeros((x_t.shape[0], k))
-    ids = np.arange(k)[:, None]
-    for s, e in kern.spans:
-        lab, rows = labels[s:e], x_t[:, s:e]
+        unsure = np.flatnonzero(count != 1)
+        if unsure.size:
+            exact = _sq_dists(x_t[:, s + unsure], centroids).argmin(axis=0)
+            labels[s + unsure] = exact
+            near[:, unsure] = 0.0
+            near[exact, unsure] = 1.0
+        if not sum_clusters:
+            continue
         if kern.integral:
-            sums += rows @ (ids == lab).astype(np.float64).T
+            sums += rows @ near.T
         else:
+            lab = labels[s:e]
             for c in range(k):  # NumPy gathers C-ordered already; the call pins it
                 sums[:, c] += np.ascontiguousarray(rows.T[lab == c]).sum(axis=0)
-    return sums.T, np.bincount(labels, minlength=k)
+    return (sums.T, np.bincount(labels, minlength=k)) if sum_clusters else None
 
 
 def _inertia_fixed_order(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -297,7 +302,7 @@ def assign(centroids: np.ndarray, spectra: SpectrumSet, workers: int = 1) -> np.
     kern = _Kernel(spectra)
     centroids = _as_centroids(centroids, kern.x)
     labels = np.empty(kern.x.shape[0], dtype=np.int32)
-    _assign_labels(kern, centroids, labels)
+    _lloyd_pass(kern, centroids, labels, sum_clusters=False)
     return labels
 
 
@@ -347,8 +352,7 @@ def _fit_once(kern, params, seed):
     iterations = 0
 
     for iterations in range(1, params.max_iterations + 1):
-        _assign_labels(kern, centroids, labels)
-        sums, counts = _cluster_sums(kern, labels, params.k)
+        sums, counts = _lloyd_pass(kern, centroids, labels, sum_clusters=True)
 
         new_centroids = np.empty_like(centroids)
         occupied = counts > 0

@@ -38,7 +38,7 @@ class LabelRaster(NamedTuple):
 
 
 def read_label_raster(path) -> LabelRaster:
-    """Read a label PGM without numpy, as `segment.read_label_pgm` reads it."""
+    """Read a label PGM without numpy; `segment.read_label_pgm` wraps it."""
     width, height, raster = netpbm.read_raster(path, b"P5")
     labels = bytes(raster)
     # one C scan per absent level from the top, not a Python step per pixel

@@ -3,8 +3,10 @@
 Map labels use 0 for background and 1..k for cluster id + 1, held as
 uint8 with k <= 255, so a single 8-bit PGM channel carries the whole
 segmentation losslessly. Maps are scored against a truth map by the best
-label bijection, which `scoring` computes without numpy; it is imported
-only when a map is scored, so `segment`, `spectra` and `synth` never load it.
+label bijection, which `scoring` computes without numpy. It also reads
+label maps back, so one rule gives a read map its k. It is imported only
+when a map is scored or read, so `segment`, `spectra` and `synth` never
+load it.
 """
 
 from dataclasses import dataclass
@@ -113,9 +115,12 @@ def write_label_pgm(segmap: SegmentationMap, path) -> None:
 
 
 def read_label_pgm(path) -> SegmentationMap:
-    """Read a label PGM back; k is the highest label present."""
-    labels = netpbm.read_pgm(path)
-    return SegmentationMap(labels, int(labels.max(initial=0)))
+    """Read a label PGM back; k is the highest label present, as `scoring` reads it."""
+    from . import scoring
+
+    raster = scoring.read_label_raster(path)
+    labels = np.frombuffer(raster.labels, np.uint8).reshape(raster.height, raster.width)
+    return SegmentationMap(labels, raster.k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,10 +23,9 @@ from inkscan.cluster import (
     INIT_RANDOM,
     KMeansParams,
     _Kernel,
-    _assign_labels,
-    _cluster_sums,
     _exact_sq_dist_to,
     _inertia_fixed_order,
+    _lloyd_pass,
     _sq_dist_to,
     _sq_dists,
     assign,
@@ -44,20 +43,20 @@ from conftest import make_spectrum_set
 def lloyd_trace(spectra, params, monkeypatch):
     """Fit one restart; return (model, inertia after each Lloyd iteration).
 
-    Wraps `_assign_labels` to copy the centroids and labels it starts from:
+    Wraps `_lloyd_pass` to copy the centroids and labels it starts from:
     those of the previous iteration after its centroid update. The last
     iteration's value is the model's own inertia.
     """
     assert params.restarts == 1
     entries = []
-    assign_labels = cluster._assign_labels
+    lloyd_pass = cluster._lloyd_pass
 
-    def spy(kern, centroids, labels):
+    def spy(kern, centroids, labels, sum_clusters):
         entries.append((centroids.copy(), labels.copy()))
-        return assign_labels(kern, centroids, labels)
+        return lloyd_pass(kern, centroids, labels, sum_clusters)
 
     with monkeypatch.context() as patch:
-        patch.setattr(cluster, "_assign_labels", spy)
+        patch.setattr(cluster, "_lloyd_pass", spy)
         model = kmeans_fit(spectra, params)
     trace = [inertia(c, spectra, labels) for c, labels in entries[1:]]
     return model, trace + [model.inertia]
@@ -523,9 +522,7 @@ class TestKernel:
         # the last centroid sits far away, so its cluster stays empty
         centroids = np.vstack([gen.normal(size=(4, b)) * 19.7, np.full((1, b), 1e6)])
         labels = np.empty(n, dtype=np.int32)
-        kern = _Kernel(make_spectrum_set(x))
-        _assign_labels(kern, centroids, labels)
-        sums, counts = _cluster_sums(kern, labels, 5)
+        sums, counts = _lloyd_pass(_Kernel(make_spectrum_set(x)), centroids, labels, True)
         assert labels.tolist() == broadcast_sq_dists(x, centroids).argmin(axis=1).tolist()
         want_sums, want_counts = chunked_accumulate(x, labels, 5)
         assert np.array_equal(bits(sums), bits(want_sums))
@@ -562,7 +559,9 @@ class TestKernel:
                                       "past 2^53"])
     def test_exact_sums_bit_equal_to_chunked_accumulate(self, case):
         """A set built from uint8 takes the one-hot matmul, the empty set too;
-        the bits stay the member-row sums'. Float sets take those sums."""
+        the bits stay the member-row sums'. Float sets take those sums. The
+        labels are the pass's own: centroids at the first k - 1 samples, and
+        one far away whose cluster stays empty."""
         gen = np.random.default_rng(7)
         n, b, k = 10000, 33, 5
         if case == "8-bit":
@@ -576,25 +575,56 @@ class TestKernel:
         elif case == "b1":
             b = 1
             x = gen.integers(-255, 256, size=(n, b)).astype(np.float64)
-        labels = gen.integers(0, k - 1, size=n).astype(np.int32)  # cluster k-1 stays empty
-        if "2^53" in case:
+        else:
             # N * max|x| at 2^53 or just past it, every sample in cluster 0: past it,
             # the sums leave the exact integers and only sample order gives the oracle's bits
             peak = 2**53 // n + (case == "past 2^53")
             x = peak - gen.integers(0, 2, size=(n, b)).astype(np.float64)
             x[0] = peak
-            labels[:] = 0
+        if "2^53" in case:  # the other centroids sit far away
+            centroids = np.vstack([x[:1], np.full((k - 1, b), -1e15)])
+        else:
+            centroids = np.vstack([x[:k - 1], np.full((1, b), 1e6)])
         for m in (n,) if "2^53" in case else (0, 1, 255, n):
             for layout in (np.asfortranarray(x[:m]), x[:m]):  # both stored band-major
                 if case == "8-bit":
                     layout = layout.astype(np.uint8)  # keeps the layout
                 kern = _Kernel(make_spectrum_set(layout))
                 assert kern.integral == (case == "8-bit"), (case, m)
-                sums, counts = _cluster_sums(kern, labels[:m], k)
-                want_sums, want_counts = chunked_accumulate(x[:m], labels[:m], k)
+                labels = np.empty(m, dtype=np.int32)
+                sums, counts = _lloyd_pass(kern, centroids, labels, True)
+                want = broadcast_sq_dists(x[:m], centroids).argmin(axis=1)
+                assert labels.tolist() == want.tolist(), (case, m)
+                want_sums, want_counts = chunked_accumulate(x[:m], labels, k)
                 assert np.array_equal(bits(sums), bits(want_sums)), (case, m)
                 assert np.array_equal(counts, want_counts)
                 assert counts[k - 1] == 0
+                if "2^53" in case:
+                    assert counts[0] == m
+
+    @pytest.mark.parametrize("b", [1, 2, 7, 8, 33])
+    def test_eight_bit_fallback_sums_bit_equal_to_chunked_accumulate(self, b):
+        """Every centroid appears twice, so no label of a uint8-built set is
+        certain and every sample takes the exact kernel; its column of the
+        one-hot sum matrix must be rewritten to its label's. The far
+        centroid's cluster stays empty."""
+        gen = np.random.default_rng(40 + b)
+        x = gen.integers(0, 256, size=(5000, b)).astype(np.uint8)
+        base = x[:3].astype(np.float64)
+        centroids = np.vstack([base, base[::-1], np.full((1, b), 1e6)])
+        kern = _Kernel(make_spectrum_set(x))
+        assert kern.integral
+        labels = np.empty(len(x), dtype=np.int32)
+        sums, counts = _lloyd_pass(kern, centroids, labels, True)
+        x = x.astype(np.float64)
+        want = broadcast_sq_dists(x, centroids).argmin(axis=1)
+        assert labels.tolist() == want.tolist()
+        if b < 8:
+            assert want.tolist() == brute_force_assign(x.tolist(), centroids.tolist())
+        want_sums, want_counts = chunked_accumulate(x, labels, len(centroids))
+        assert np.array_equal(bits(sums), bits(want_sums))
+        assert np.array_equal(counts, want_counts)
+        assert counts[-1] == 0 and set(labels.tolist()) <= {0, 1, 2}
 
     def test_fit_identical_at_one_two_three_workers(self, rng):
         points = rng.normal(size=(10000, 6)) * 3.0
