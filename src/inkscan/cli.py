@@ -26,9 +26,19 @@ whole cube; truth, manifest and sidecar follow the last band.
 Runtime/data failures, running out of memory and a stdout that cannot be
 written included, exit 1 with a one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
+
+A command process ends in `entrypoint`, which the console script and
+`python -m inkscan` both run: once `main()` has returned, it freezes the
+garbage collector (`gc.freeze()`) and exits with main's code. The
+interpreter's collections at exit then skip every object that already
+exists, NumPy's included, instead of walking them all after the work is
+done; atexit handlers, stream flushes and exit codes run as before. The
+freeze is there and not in `main()`, so tests and library callers that
+run `main()` in process keep their collector as it was.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -379,7 +389,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run `main()` as this process's command and exit with its code.
+
+    The process ends here, so the objects alive at this point need no
+    collecting: `gc.freeze()` keeps the exit's collections from walking
+    them. It is here and not in `main()`, so in-process callers of `main()`
+    keep their collector as it was.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -74,19 +74,35 @@ class SplitMix64:
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), uniformly (Floyd's algorithm).
 
-        The returned list is in selection order, not sorted.
+        The returned list is in selection order, not sorted. Step j draws
+        below(j + 1). When none of the k next outputs falls in `below`'s
+        rejection zone, each step takes one output, so all k are evaluated
+        in one `u64_block`; otherwise the steps draw one at a time.
         """
         if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n}")
-        chosen: set[int] = set()
-        order: list[int] = []
-        for j in range(n - k, n):
-            t = self.below(j + 1)
-            if t in chosen:
-                t = j
-            chosen.add(t)
-            order.append(t)
-        return order
+        if n <= _MASK64:
+            u = u64_block(self._state, 0, k)
+            m = np.arange(1, k + 1, dtype=np.uint64)
+            m += np.uint64(n - k)  # step j draws below(m = j + 1)
+            # below(m) rejects u >= 2^64 - (2^64 mod m), and 2^64 mod m = (2^64 - m) mod m
+            if not (np.uint64(_MASK64) - u < (-m) % m).any():
+                self._state = (self._state + k * _GOLDEN) & _MASK64
+                return _floyd(n, k, (u % m).tolist())
+        return _floyd(n, k, (self.below(j + 1) for j in range(n - k, n)))
+
+
+def _floyd(n: int, k: int, draws) -> list[int]:
+    """Floyd's walk: step j (n - k <= j < n) takes its draw t in [0, j], or
+    j itself when t is already chosen."""
+    chosen: set[int] = set()
+    order: list[int] = []
+    for j, t in zip(range(n - k, n), draws):
+        if t in chosen:
+            t = j
+        chosen.add(t)
+        order.append(t)
+    return order
 
 
 def u64_block(seed: int, start: int, count: int) -> np.ndarray:

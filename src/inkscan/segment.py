@@ -101,7 +101,10 @@ def render_segmentation(segmap: SegmentationMap, palette: np.ndarray) -> np.ndar
     lut = palette[: segmap.k + 1].astype(np.uint8)
     if len({tuple(c) for c in lut.tolist()}) != len(lut):  # np.unique would import numpy.ma
         raise ValueError("palette colors must be pairwise distinct")
-    return lut[segmap.labels]
+    # one 3-byte item per color: the gather copies whole pixels, and unlike
+    # np.take it does not first copy the labels into an intp index array
+    colors = lut.view("V3")[:, 0]
+    return colors[segmap.labels].view(np.uint8).reshape(*segmap.labels.shape, 3)
 
 
 def write_rgb_ppm(image: np.ndarray, path) -> None:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit-code families, determinism, composition."""
 
+import gc
 import json
 import os
 import shutil
@@ -778,6 +779,45 @@ class TestFailedInput:
         assert result.stderr.count("\n") == 1, result.stderr
         assert str(bad) in result.stderr
         assert "Traceback" not in result.stderr
+
+
+# a command process run through `entrypoint`, with an exit handler that reports
+# whether the collector was frozen by the time the interpreter exits
+EXIT_CHECK = ("import atexit, gc; "
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+              "from inkscan.cli import entrypoint; entrypoint()")
+
+
+class TestExit:
+    """`entrypoint` freezes the collector after `main()` and exits with its code;
+    `main()` itself freezes nothing."""
+
+    @pytest.mark.parametrize("case, code", [("scored", 0), ("missing map", 1), ("bad flag", 2)])
+    def test_entrypoint_exits_with_main_code_after_freezing(self, small_page, tmp_path,
+                                                            capsys, case, code):
+        truth = str(small_page / "truth.pgm")
+        argv = {"scored": ["eval", truth, truth, "--json"],
+                "missing map": ["eval", str(tmp_path / "none.pgm"), truth, "--json"],
+                "bad flag": ["eval", truth, truth, "--no-such-flag"]}[case]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        result = subprocess.run([sys.executable, "-c", EXIT_CHECK, *argv],
+                                capture_output=True, text=True, env=subprocess_env())
+        assert result.returncode == code, result.stderr
+        # the exit handler ran after the whole of main's output went through the pipe
+        assert result.stdout == expected.out + "frozen True\n"
+        assert result.stderr == expected.err
+        if code == 0:
+            assert json.loads(expected.out)["accuracy"] == 1.0
+        if code == 1:
+            assert result.stderr.startswith("inkscan eval: ") and result.stderr.count("\n") == 1
+        if code == 2:
+            assert "unrecognized arguments: --no-such-flag" in result.stderr
+
+    def test_main_in_process_freezes_nothing(self, small_page, capsys):
+        before = gc.get_freeze_count()
+        assert main(["eval", str(small_page / "truth.pgm"), str(small_page / "truth.pgm")]) == 0
+        assert gc.get_freeze_count() == before
 
 
 # modules a fresh process must not hold after each command ("import": a bare

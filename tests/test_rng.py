@@ -84,6 +84,56 @@ def test_sample_indices_distinct_and_uniformish():
     assert min(hits) > 120 and max(hits) < 280  # expectation 200 each
 
 
+def scalar_sample_indices(gen, n, k):
+    """Floyd's algorithm one `below` draw at a time, the reference for the block path."""
+    chosen, order = set(), []
+    for j in range(n - k, n):
+        t = gen.below(j + 1)
+        if t in chosen:
+            t = j
+        chosen.add(t)
+        order.append(t)
+    return order
+
+
+SAMPLE_CASES = [(0, 0), (1, 0), (1, 1), (5, 5), (10, 4), (6, 2), (4097, 4097),
+                (39_322, 10_000), (2**32 + 3, 50), (2**64 - 1, 3), (2**64, 2),
+                (2**63 + 1, 1), (2**63 + 5, 5), (2**63 + 40, 40), (3 * 2**62, 30)]
+
+
+@pytest.mark.parametrize("n, k", SAMPLE_CASES)
+def test_sample_indices_matches_scalar_draws(n, k):
+    """Same indices and the same next state as drawing one `below` at a time,
+    whether or not a draw falls in `below`'s rejection zone."""
+    for seed in (0, 7, 123_456_789, 2**63 + 17, 2**64 - 1):
+        gen, ref = SplitMix64(seed), SplitMix64(seed)
+        assert gen.sample_indices(n, k) == scalar_sample_indices(ref, n, k), seed
+        assert gen.next_u64() == ref.next_u64(), seed
+
+
+def test_sample_indices_random_cases_match_scalar_draws():
+    pick = SplitMix64(2024)
+    for _ in range(300):
+        n = 1 + pick.below([50, 10**6, 2**40, 2**64 - 1][pick.below(4)])
+        k = pick.below(min(n, 200) + 1)
+        seed = pick.next_u64()
+        gen, ref = SplitMix64(seed), SplitMix64(seed)
+        assert gen.sample_indices(n, k) == scalar_sample_indices(ref, n, k), (n, k, seed)
+        assert gen.next_u64() == ref.next_u64(), (n, k, seed)
+
+
+def test_sample_indices_falls_back_past_two_to_the_63():
+    """Just above 2^63, `below` rejects about half its draws: the sample then
+    consumes more than k outputs, as the scalar draws do."""
+    n, k = 2**63 + 40, 40
+    gen = SplitMix64(5)
+    gen.sample_indices(n, k)
+    ahead = SplitMix64(5)
+    for _ in range(k):
+        ahead.next_u64()
+    assert gen.next_u64() != ahead.next_u64()
+
+
 def test_normal_block_statistics_and_reference():
     z = normal_block(5, 0, 100_000)
     assert abs(z.mean()) < 0.02
