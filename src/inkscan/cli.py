@@ -35,6 +35,15 @@ exists, NumPy's included, instead of walking them all after the work is
 done; atexit handlers, stream flushes and exit codes run as before. The
 freeze is there and not in `main()`, so tests and library callers that
 run `main()` in process keep their collector as it was.
+
+A `synth` process defaults `OPENBLAS_NUM_THREADS` to 1 before it loads
+numpy: synth calls no BLAS routine, and OpenBLAS's worker would otherwise
+spin from numpy's import on, beside synth's noise threads on the same
+CPUs. A value the caller set wins, and a process that has numpy loaded
+already (an in-process caller of `main()`) keeps its environment as it
+is. Other commands leave it alone: `segment`'s matrix products use the
+second BLAS thread, and `spectra` and `segment` load numpy while argparse
+checks `--reference`, before their command bodies run.
 """
 
 import argparse
@@ -289,6 +298,8 @@ def cmd_segment(args) -> int:
 def cmd_synth(args) -> int:
     import dataclasses
 
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import hsi_cube, segment, synth
 
     spec = synth.SynthSpec(

@@ -10,7 +10,11 @@ calling thread:
 - samples are processed in fixed-size chunks (CHUNK_SIZE) and all
   reductions combine chunks in index order;
 - restarts run with seeds seed, seed+1, ... and the lowest-inertia model
-  wins, ties to the lowest restart index.
+  wins, ties to the lowest restart index. A restart whose every observed
+  (best label, label) pair names centroids with the same bits as the best
+  model's gives every sample the same difference row, so its inertia would
+  have the best's bits and lose the tie: it is dropped without its inertia
+  pass.
 
 Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
 `_sq_dists`, is NumPy's row sum ((x - c) * (x - c)).sum(axis=-1) on
@@ -330,20 +334,41 @@ def kmeans_fit(
     farthest from that cluster's previous centroid (ties to the lowest
     sample index), and stops once the maximum centroid displacement drops
     to `tolerance` or `max_iterations` is reached. Restart r uses seed
-    seed+r; the lowest-inertia restart wins, ties to the lowest r.
+    seed+r; the lowest-inertia restart wins, ties to the lowest r. A
+    restart that `_ties_best` shows would tie the best so far is dropped
+    before its inertia pass, and only a kept restart becomes a model.
 
     Runs on the calling thread; `workers` is accepted and changes nothing.
     """
     best = None  # _init_centroids rejects too few samples
     kern = _Kernel(spectra)
     for restart in range(params.restarts):
-        model = _fit_once(kern, params, params.seed + restart)
-        if best is None or model.inertia < best.inertia:
-            best = model
+        centroids, labels, iterations, converged = _fit_once(kern, params, params.seed + restart)
+        if best is not None and _ties_best(best, centroids, labels):
+            continue
+        inertia = _inertia_fixed_order(kern.x, centroids, labels)
+        if best is None or inertia < best.inertia:
+            best = ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
+                                iterations=iterations, converged=converged)
     return best
 
 
+def _ties_best(best: ClusterModel, centroids: np.ndarray, labels: np.ndarray) -> bool:
+    """Whether every observed (best label, label) pair names centroids of equal bits.
+
+    Then each sample's difference row has the bits it has under the best
+    model, so the inertia would too: equal, or the same NaN, it cannot win.
+    """
+    k = len(centroids)
+    # pair codes are below k * k; int64 temporaries where int32 would do
+    # raised segment's peak RSS by 0.4 MB
+    codes = best.labels.astype(np.int64) if k * k > np.iinfo(np.int32).max else best.labels
+    pairs = np.flatnonzero(np.bincount(codes * k + labels))
+    return best.centroids[pairs // k].tobytes() == centroids[pairs % k].tobytes()
+
+
 def _fit_once(kern, params, seed):
+    """One seeded Lloyd run: its centroids, labels, iterations and convergence."""
     x = kern.x
     centroids = _init_centroids(kern, params.k, params.init, seed)
     tol2 = params.tolerance * params.tolerance
@@ -369,10 +394,4 @@ def _fit_once(kern, params, seed):
             converged = True
             break
 
-    return ClusterModel(
-        centroids=centroids,
-        labels=labels,
-        inertia=_inertia_fixed_order(x, centroids, labels),
-        iterations=iterations,
-        converged=converged,
-    )
+    return centroids, labels, iterations, converged

@@ -41,8 +41,10 @@ def read_label_raster(path) -> LabelRaster:
     """Read a label PGM without numpy; `segment.read_label_pgm` wraps it."""
     width, height, raster = netpbm.read_raster(path, b"P5")
     labels = bytes(raster)
-    # one C scan per absent level from the top, not a Python step per pixel
-    k = next((level for level in range(255, 0, -1) if labels.find(level) >= 0), 0)
+    # one C scan per absent level from the top, not a Python step per pixel;
+    # a map with no level above 15, which deleting 0..15 shows, starts at 15
+    top = 255 if labels.translate(None, bytes(range(16))) else 15
+    k = next((level for level in range(top, 0, -1) if labels.find(level) >= 0), 0)
     return LabelRaster(labels, width, height, k)
 
 

@@ -820,6 +820,65 @@ class TestExit:
         assert gc.get_freeze_count() == before
 
 
+SYNTH_FLAGS = ["--width", "40", "--height", "32", "--bands", "4", "--inks", "3",
+               "--noise-sigma", "3", "--coverage", "0.3", "--seed", "2"]
+
+
+def env_with_blas_threads(threads):
+    """`subprocess_env` with OPENBLAS_NUM_THREADS set to `threads`, or unset for None."""
+    env = subprocess_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+class TestSynthBlasDefault:
+    """A `synth` process asks OpenBLAS for no worker thread unless told
+    otherwise; nothing else about the command changes."""
+
+    def test_parsing_synth_flags_loads_no_numpy(self, tmp_path):
+        """The default is set in the command body, so it takes effect only
+        while parsing the flags has not loaded numpy."""
+        script = ("import sys; from inkscan import cli; "
+                  "cli.build_parser().parse_args(['synth', '--out-dir', sys.argv[1]]); "
+                  "print('numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "d")],
+                                capture_output=True, text=True, env=subprocess_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("threads, seen", [(None, "1"), ("2", "2")])
+    def test_process_defaults_to_one_thread(self, tmp_path, threads, seen):
+        check = ("import atexit, os; "
+                 "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'))); "
+                 "from inkscan.cli import entrypoint; entrypoint()")
+        result = subprocess.run(
+            [sys.executable, "-c", check, "synth", "--out-dir", str(tmp_path / "d"),
+             *SYNTH_FLAGS], capture_output=True, text=True, env=env_with_blas_threads(threads))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == seen
+
+    def test_main_in_process_leaves_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert main(["synth", "--out-dir", str(tmp_path / "d"), *SYNTH_FLAGS]) == 0
+        assert dict(os.environ) == before
+
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        pages = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / str(threads)
+            result = subprocess.run(
+                [sys.executable, "-m", "inkscan", "synth", "--out-dir", str(out), *SYNTH_FLAGS],
+                capture_output=True, env=env_with_blas_threads(threads))
+            assert result.returncode == 0, result.stderr
+            pages.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len(pages[0]) == 4 + 3  # bands, manifest, truth, sidecar
+        assert pages[0] == pages[1] == pages[2]
+
+
 # modules a fresh process must not hold after each command ("import": a bare
 # `import inkscan`; "help": `inkscan --help`); np.unique imports numpy.ma,
 # 15-18 ms a run segment has no use for; numpy's import is about half of eval's time

@@ -279,6 +279,101 @@ class TestFit:
         assert hits >= 95
 
 
+def ink_page_spectra(signatures=None):
+    """Foreground spectra of a 5-ink, 33-band page at sigma 8: the easy
+    acceptance recipe, or with the given ink signatures."""
+    size = 512 if signatures is None else 128
+    cube, _ = synth_document(SynthSpec(width=size, height=size, bands=33, ink_count=5,
+                                       ink_signatures=signatures, noise_sigma=8.0, seed=1))
+    return extract_spectra(cube, threshold_binary(reference_image(cube), ThresholdConfig()))
+
+
+@pytest.fixture(scope="module")
+def restart_cases():
+    """{name: (spectra, params)} for the restart oracle: restarts that end at
+    one partition, at different ones, through empty-cluster reseeds, and
+    with non-finite centroids."""
+    gen = np.random.default_rng(7)
+    close = np.round(120.0 + gen.normal(0.0, 3.0, size=(5, 33)), 3)  # inks a few levels apart
+    rows = gen.integers(0, 256, size=(33, 6)).astype(np.uint8)[:, gen.integers(0, 6, 5000)]
+    nan_points = gen.normal(size=(300, 4)) * 5.0
+    nan_points[::37, 1] = np.nan
+    inf_points = gen.normal(size=(300, 4)) * 5.0
+    inf_points[5, 2] = np.inf
+    return {
+        "easy": (ink_page_spectra(), KMeansParams(k=5, restarts=5)),
+        "close": (ink_page_spectra(close), KMeansParams(k=5, restarts=5, max_iterations=12)),
+        "reseed": (SpectrumSet(rows.T, np.zeros((5000, 2))),
+                   KMeansParams(k=8, seed=3, restarts=5, max_iterations=20)),
+        "nan": (make_spectrum_set(nan_points), KMeansParams(k=3, restarts=5, max_iterations=20)),
+        "inf": (make_spectrum_set(inf_points), KMeansParams(k=3, restarts=5, max_iterations=20)),
+    }
+
+
+class TestRestarts:
+    """`kmeans_fit` drops a restart that would tie the best so far without
+    its inertia pass; the winner is still the one the per-restart loop
+    picks: one single-restart fit per seed, lowest inertia, ties to the
+    lowest restart."""
+
+    @pytest.mark.parametrize("case", ["easy", "close", "reseed", "nan", "inf"])
+    @np.errstate(invalid="ignore")  # non-finite centroids
+    def test_winner_matches_per_restart_loop(self, restart_cases, case, monkeypatch):
+        spectra, params = restart_cases[case]
+        fits = [kmeans_fit(spectra, KMeansParams(k=params.k, seed=params.seed + r, restarts=1,
+                                                 max_iterations=params.max_iterations))
+                for r in range(params.restarts)]
+        want = fits[0]
+        for fit in fits[1:]:
+            if fit.inertia < want.inertia:
+                want = fit
+        if case == "reseed":
+            reseeds, exact_sq_dist_to = [], cluster._exact_sq_dist_to
+            monkeypatch.setattr(cluster, "_exact_sq_dist_to",
+                                lambda *args: reseeds.append(1) or exact_sq_dist_to(*args))
+        got = kmeans_fit(spectra, params)
+        if case == "reseed":
+            assert reseeds
+        if case in ("nan", "inf"):
+            assert not np.isfinite(got.centroids).all()
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert bits(got.inertia) == bits(want.inertia)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    @pytest.mark.parametrize("case, passes", [("easy", 1), ("close", 5)])
+    def test_inertia_passes(self, restart_cases, case, passes, monkeypatch):
+        """The easy page's five restarts end at one partition, so four skip
+        their pass; the close page's end at five, and none does. There a
+        later restart wins, so a fit that kept only the first would fail."""
+        spectra, params = restart_cases[case]
+        calls, inertia_pass = [], cluster._inertia_fixed_order
+        monkeypatch.setattr(cluster, "_inertia_fixed_order",
+                            lambda *args: calls.append(1) or inertia_pass(*args))
+        got = kmeans_fit(spectra, params)
+        assert len(calls) == passes
+        first = kmeans_fit(spectra, KMeansParams(k=params.k, restarts=1,
+                                                 max_iterations=params.max_iterations))
+        assert (got.inertia < first.inertia) == (case == "close")
+
+    def test_tie_rule_reads_observed_pairs_only(self, rng):
+        """A tie is every observed (best label, label) pair naming centroids
+        of the same bits: label numbers may differ, a centroid no sample
+        holds may differ, and one last bit in a held centroid breaks it."""
+        spectra = make_spectrum_set(rng.normal(size=(200, 3)))
+        best = kmeans_fit(spectra, KMeansParams(k=4, seed=1))
+        perm = np.array([2, 0, 3, 1])
+        centroids = np.empty_like(best.centroids)
+        centroids[perm] = best.centroids
+        labels = perm[best.labels].astype(np.int32)
+        assert cluster._ties_best(best, centroids, labels)
+        extra = np.vstack([centroids, [[9.0, 9.0, 9.0]]])  # held by no sample
+        assert cluster._ties_best(best, extra, labels)
+        held = perm[best.labels[0]]
+        centroids[held, 0] = np.nextafter(centroids[held, 0], np.inf)
+        assert not cluster._ties_best(best, centroids, labels)
+
+
 class TestInit:
     def test_k1_returns_a_sample(self, rng):
         points = rng.normal(size=(10, 3))

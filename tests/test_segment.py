@@ -177,6 +177,15 @@ class TestLabelPgm:
         assert raster.labels == back.labels.tobytes()
         assert (raster.width, raster.height) == (back.width, back.height) == (23, 37)
 
+    @pytest.mark.parametrize("top", [0, 1, 15, 16, 255])
+    def test_raster_k_is_the_highest_label(self, tmp_path, rng, top):
+        """k is `max(labels)` on both sides of the 0..15 shortcut."""
+        labels = rng.integers(0, top + 1, size=(31, 17))
+        labels.flat[rng.integers(labels.size)] = top
+        write_label_pgm(SegmentationMap(labels, top), tmp_path / "l.pgm")
+        raster = scoring.read_label_raster(tmp_path / "l.pgm")
+        assert raster.k == max(raster.labels) == top
+
 
 class TestPpm:
     def test_write_rejects_empty(self, tmp_path):
