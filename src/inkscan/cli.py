@@ -20,9 +20,9 @@ it does only for the chosen command.
 cube go, and only then promote the rows to float64, so the cube and the
 float64 spectra are never alive together; under `--normalize unit-length`
 the rows go too, and that one float64 copy is divided in place. `synth`
-writes the page band by band as `synth.synth_bands` draws it, with at most
-two bands drawn ahead of the one being written, so it never holds the
-whole cube; truth, manifest and sidecar follow the last band.
+writes each band as `synth.synth_bands` hands it over, with at most two
+bands drawn ahead of the one being written, so it never holds the whole
+cube; truth, manifest and sidecar follow the last band.
 Runtime/data failures, running out of memory and a stdout that cannot be
 written included, exit 1 with a one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -51,7 +51,6 @@ import gc
 import json
 import os
 import sys
-from contextlib import closing
 from pathlib import Path
 
 from .errors import DegenerateHistogram, InkscanError, InvalidSpec
@@ -312,17 +311,17 @@ def cmd_synth(args) -> int:
         background_level=args.background_level,
         seed=args.seed,
     )
-    truth, bands = synth.synth_bands(spec)
-
     out_dir = Path(args.out_dir)
-    bands_dir = out_dir / "bands"
-    bands_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
-    with closing(bands):  # a failed write stops the pool before the error exits
-        for b, plane in enumerate(bands, start=1):
-            name = f"band_{b}.pgm"
-            hsi_cube.write_gray_pgm(hsi_cube.GrayImage(plane), bands_dir / name)
-            manifest_lines.append(f"{b}\tbands/{name}")
+
+    def write_band(b, plane):
+        name = f"bands/band_{b + 1}.pgm"
+        if b == 0:  # made here, so a spec failure leaves no out_dir
+            (out_dir / "bands").mkdir(parents=True, exist_ok=True)
+        hsi_cube.write_gray_pgm(hsi_cube.GrayImage(plane), out_dir / name)
+        manifest_lines.append(f"{b + 1}\t{name}")
+
+    truth = synth.synth_bands(spec, write_band)
     (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
     segment.write_label_pgm(truth, out_dir / "truth.pgm")
 

@@ -47,7 +47,6 @@ the same pass without the sums.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -114,10 +113,8 @@ class _Kernel:
     """The (N, B) samples of one call in fixed chunks, and facts about them.
 
     It reads the band rows of `x.T`, C-contiguous for SpectrumSet vectors.
-    `integral` is the set's `eight_bit`, true of a set built from uint8
-    rows: every partial sum of samples and every matvec term is then
-    exact, in any order. `sq_norms` and what is derived from it are
-    worked out once, on first use.
+    On an `eight_bit` set every partial sum of samples and every matvec term
+    is exact, in any order. `sq_norms` is |x|^2 and `norms` |x| per sample.
     """
 
     def __init__(self, spectra: SpectrumSet):
@@ -126,21 +123,9 @@ class _Kernel:
         self.x = spectra.vectors
         self.spans = _chunks(spectra.count)
         # N * 255 and 4 B 255^2 stay within 2^53 for any N, B that fit in memory
-        self.integral = spectra.eight_bit
-
-    @cached_property
-    def sq_norms(self) -> np.ndarray:
-        """|x|^2 per sample."""
-        sq_norms = np.empty(self.x.shape[0])
-        for s, e in self.spans:
-            rows = self.x.T[:, s:e]
-            sq_norms[s:e] = np.einsum("ij,ij->j", rows, rows)
-        return sq_norms
-
-    @cached_property
-    def norms(self) -> np.ndarray:
-        """|x| per sample, for the label step's error bound."""
-        return np.sqrt(self.sq_norms)
+        self.eight_bit = spectra.eight_bit
+        self.sq_norms = np.einsum("ij,ij->j", self.x.T, self.x.T)
+        self.norms = np.sqrt(self.sq_norms)
 
 
 def _sq_dists(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -163,7 +148,7 @@ def _sq_dist_to(kern: _Kernel, i: int) -> np.ndarray:
     squares, its result is never -0.0. Any other set takes the exact kernel.
     """
     point = kern.x[i]
-    if not kern.integral:
+    if not kern.eight_bit:
         return _exact_sq_dist_to(kern, point)
     out = point @ kern.x.T
     out *= -2.0
@@ -227,7 +212,7 @@ def _lloyd_pass(kern: _Kernel, centroids: np.ndarray, labels: np.ndarray, sum_cl
             near[exact, unsure] = 1.0
         if not sum_clusters:
             continue
-        if kern.integral:
+        if kern.eight_bit:
             sums += rows @ near.T
         else:
             lab = labels[s:e]

@@ -26,15 +26,16 @@ def freeze_array(record, name: str, dtype, ndim: int, order: str = "C") -> np.nd
     """Store field `name` of a frozen record as a read-only contiguous array.
 
     The value is converted to `dtype` and laid out in `order` ("C" or
-    "F"); a result that is not `ndim`-d raises ValueError. The record
-    keeps a read-only view, so a caller's array is never frozen (nor
-    copied, if no conversion is needed). Returns the stored array.
+    "F"); a value the cast loses or a result that is not `ndim`-d raises
+    ValueError. The record keeps a read-only view, so a caller's array is
+    never frozen (nor copied, if no conversion is needed). Returns it.
     """
-    arr = np.asarray(getattr(record, name), dtype=dtype, order=order)
+    field = f"{type(record).__name__}.{name}"
+    arr = netpbm.cast_exact(getattr(record, name), dtype, order)
+    if arr is None:
+        raise ValueError(f"{field} cannot hold every value as {np.dtype(dtype)}")
     if arr.ndim != ndim:
-        raise ValueError(
-            f"{type(record).__name__}.{name} needs a {ndim}-d array, got shape {arr.shape}"
-        )
+        raise ValueError(f"{field} needs a {ndim}-d array, got shape {arr.shape}")
     arr = arr.view()
     arr.setflags(write=False)
     object.__setattr__(record, name, arr)

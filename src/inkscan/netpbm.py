@@ -95,6 +95,22 @@ def read_ppm(path) -> np.ndarray:
     return _read(path, b"P6")
 
 
+def cast_exact(values, dtype, order: str = "C") -> np.ndarray | None:
+    """`values` as a `dtype` array laid out in `order`, or None if that loses a value.
+
+    Only casts to an integer dtype that NumPy does not call safe can lose one:
+    out of range, fractional or NaN. A cast to bool keeps each value's truthiness.
+    """
+    import numpy as np
+
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN's cast is refused below
+        arr = np.asarray(given, dtype=dtype, order=order)
+    lossless = (arr.dtype.kind not in "iu" or np.can_cast(given.dtype, arr.dtype)
+                or np.array_equal(arr, given))
+    return arr if lossless else None
+
+
 def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     import numpy as np
 
@@ -102,7 +118,9 @@ def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     if width < 1 or height < 1:
         raise IoFailure(f"refusing to write {width}x{height} image")
     header = b"%s\n%d %d\n255\n" % (magic, width, height)
-    raster = np.ascontiguousarray(pixels, dtype=np.uint8)
+    raster = cast_exact(pixels, np.uint8)
+    if raster is None:
+        raise IoFailure(f"refusing to write {path}: samples must be whole numbers in 0..255")
     try:
         with open(path, "wb") as out:
             out.write(header)

@@ -8,10 +8,10 @@ around `background_level`. The realized ink pixel count is exact, so the
 truth map doubles as a pixel-precise oracle.
 
 All randomness derives from SynthSpec.seed through three child streams
-drawn in a fixed order (signatures, layout, noise). `synth_bands` draws
-the page band by band, with at most two bands in flight beyond the one the
-caller holds, so its memory does not grow with the band count;
-`synth_document` collects that stream into one cube. The noise is drawn in
+drawn in a fixed order (signatures, layout, noise). `synth_bands` hands
+the page band by band to a callback, with at most two bands in flight
+beyond the one the callback holds, so its memory does not grow with the
+band count; `synth_document` stores them in one cube. The noise is drawn in
 tiles of one band by 65,536 pixels, on one thread per CPU under the
 caller's `np.errstate`; each tile reads its own window of the band's
 counter-based stream, so the page's bytes do not depend on the thread
@@ -21,7 +21,7 @@ cosine gives, and float64 elsewhere (`_floor_noisy`).
 """
 
 import os
-from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,16 +304,17 @@ def _floor_noisy(plane: np.ndarray, sigma: float,
     return out
 
 
-def synth_bands(spec: SynthSpec) -> tuple[SegmentationMap, Iterator[np.ndarray]]:
-    """The truth map and a stream of the page's bands, fully determined by spec.seed.
+def synth_bands(spec: SynthSpec, take) -> SegmentationMap:
+    """Draw the page band by band into `take`; return the truth map.
 
-    The signatures and the layout are drawn before this returns, so every
-    spec failure raises here. The stream then yields band b's (height,
-    width) uint8 plane, b = 0..bands-1: per-ink signature (or
+    Everything is fully determined by spec.seed. The signatures and the
+    layout are drawn first, so every spec failure raises before `take` is
+    called. Then take(b, plane) is called for b = 0..bands-1 in order with
+    band b's (height, width) uint8 plane: per-ink signature (or
     background_level) plus N(0, noise_sigma), rounded half-up and clamped
-    to [0, 255]. Band b + _WINDOW is submitted to the tile pool before band
-    b is yielded, so the pool keeps drawing while the caller writes.
-    Closing the stream early waits for the bands in flight.
+    to [0, 255]. Band b + _WINDOW is submitted to the tile pool before
+    take(b, ...) runs, so the pool keeps drawing while the caller writes.
+    An exception from `take` waits for the bands in flight, then propagates.
     """
     master = SplitMix64(spec.seed)
     sig_rng = SplitMix64(master.spawn_seed())
@@ -327,12 +328,7 @@ def synth_bands(spec: SynthSpec) -> tuple[SegmentationMap, Iterator[np.ndarray]]
 
     truth = SegmentationMap(_layout_truth(spec, layout_rng), spec.ink_count)
     errstate = np.geterr()  # pool threads do not inherit the caller's
-    return truth, _draw_bands(spec, signatures, truth.labels.ravel(), noise_seed, errstate)
-
-
-def _draw_bands(spec, signatures, labels, noise_seed, errstate):
-    from concurrent.futures import ThreadPoolExecutor  # here, so `eval` skips its import
-
+    labels = truth.labels.ravel()
     # row b holds band b of the background and of each ink
     lut = np.vstack([np.full(spec.bands, float(spec.background_level)), signatures]).T.copy()
     pixels = labels.size
@@ -362,7 +358,8 @@ def _draw_bands(spec, signatures, labels, noise_seed, errstate):
                 future.result()
             if b + _WINDOW < spec.bands:
                 window.append(submit(b + _WINDOW))
-            yield plane.reshape(spec.height, spec.width)
+            take(b, plane.reshape(spec.height, spec.width))
+    return truth
 
 
 def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
@@ -371,12 +368,10 @@ def synth_document(spec: SynthSpec) -> tuple[HyperCube, SegmentationMap]:
     Returns
     -------
     cube : HyperCube
-        (bands, height, width): the planes of `synth_bands`, in order.
+        (bands, height, width): the planes `synth_bands` draws, in order.
     truth : SegmentationMap
         Ink labels 1..K at stroke pixels, 0 elsewhere.
     """
-    truth, bands = synth_bands(spec)
     cube = np.empty((spec.bands, spec.height, spec.width), dtype=np.uint8)
-    for b, plane in enumerate(bands):
-        cube[b] = plane
+    truth = synth_bands(spec, cube.__setitem__)
     return HyperCube(cube), truth

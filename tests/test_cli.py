@@ -502,7 +502,7 @@ class TestSynth:
         "Unable to allocate 32.7 TiB for an array with shape (3000000, 3000000)", ""])
     def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch,
                                                  message):
-        def exhausted(spec):
+        def exhausted(spec, take):
             raise MemoryError(message)
 
         monkeypatch.setattr(synth, "synth_bands", exhausted)
@@ -511,6 +511,21 @@ class TestSynth:
                      "--height", "3000000", "--bands", "2", "--inks", "2"]) == 1
         err = capsys.readouterr().err
         assert err == f"inkscan synth: {message or 'out of memory'}\n"
+        assert not out.exists()
+
+    def test_out_of_memory_drawing_the_first_band_leaves_no_out_dir(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(synth, "_floor_noisy", exhausted)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+        threads = threading.active_count()
+        out = tmp_path / "x"
+        assert main(["synth", "--out-dir", str(out), "--width", "300", "--height", "257",
+                     "--bands", "4", "--inks", "3", "--noise-sigma", "3"]) == 1
+        assert capsys.readouterr().err == "inkscan synth: out of memory\n"
+        assert threading.active_count() == threads
         assert not out.exists()
 
     def test_unattainable_spec_exits_2(self, tmp_path, capsys):

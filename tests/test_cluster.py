@@ -685,7 +685,7 @@ class TestKernel:
                 if case == "8-bit":
                     layout = layout.astype(np.uint8)  # keeps the layout
                 kern = _Kernel(make_spectrum_set(layout))
-                assert kern.integral == (case == "8-bit"), (case, m)
+                assert kern.eight_bit == (case == "8-bit"), (case, m)
                 labels = np.empty(m, dtype=np.int32)
                 sums, counts = _lloyd_pass(kern, centroids, labels, True)
                 want = broadcast_sq_dists(x[:m], centroids).argmin(axis=1)
@@ -708,7 +708,7 @@ class TestKernel:
         base = x[:3].astype(np.float64)
         centroids = np.vstack([base, base[::-1], np.full((1, b), 1e6)])
         kern = _Kernel(make_spectrum_set(x))
-        assert kern.integral
+        assert kern.eight_bit
         labels = np.empty(len(x), dtype=np.int32)
         sums, counts = _lloyd_pass(kern, centroids, labels, True)
         x = x.astype(np.float64)
@@ -762,7 +762,7 @@ class TestKernel:
             x[0] = peak
         # band-major, as a fit reads it
         kern = _Kernel(make_spectrum_set(x.astype(np.uint8) if case == "8-bit" else x))
-        assert kern.integral == (case == "8-bit")
+        assert kern.eight_bit == (case == "8-bit")
 
         def exact(point):
             return np.concatenate([_sq_dists(kern.x.T[:, s:e], point[None, :])[0]
@@ -780,13 +780,13 @@ class TestKernel:
         for i, w in zip(samples, want_samples):
             calls.clear()
             assert np.array_equal(bits(_sq_dist_to(kern, i)), bits(w)), i
-            assert len(calls) == (0 if kern.integral else len(kern.spans)), i
+            assert len(calls) == (0 if kern.eight_bit else len(kern.spans)), i
         for i, (point, w) in enumerate(zip(points, want_points)):
             calls.clear()
             got = _exact_sq_dist_to(kern, point)
             assert np.array_equal(bits(got), bits(w)), i
             assert len(calls) == len(kern.spans), i
-            if kern.integral and i in (0, 2, 6):  # integral-valued, as a centroid may be
+            if kern.eight_bit and i in (0, 2, 6):  # integral-valued, as a centroid may be
                 matvec = point @ kern.x.T * -2.0 + kern.sq_norms + point @ point
                 assert np.array_equal(bits(got), bits(matvec)), i
 
@@ -857,7 +857,7 @@ class TestKernel:
                             lambda coords: tables.append(1) or level_table(coords))
         spectra = extract_spectra(cube, threshold_binary(reference_image(cube),
                                                          ThresholdConfig()))
-        assert spectra.eight_bit and _Kernel(spectra).integral
+        assert spectra.eight_bit and _Kernel(spectra).eight_bit
         floats = SpectrumSet(spectra.vectors, spectra.coords)
         assert not floats.eight_bit
         for limit in (None, 1200):  # either fills more than one block
@@ -866,4 +866,4 @@ class TestKernel:
             segment.export_spectra_csv(floats, general, sample_limit=limit, seed=3)
             assert fast.read_bytes() == general.read_bytes(), limit
         assert spectra.count > 1200 > segment._BLOCK_ROWS and tables == [1, 1]
-        assert not _Kernel(normalize_spectra(spectra, "unit-length")).integral
+        assert not _Kernel(normalize_spectra(spectra, "unit-length")).eight_bit

@@ -369,3 +369,36 @@ def test_record_leaves_caller_array_writeable(field):
     assert not stored.flags.writeable
     assert given.flags.writeable
     given[...] = 0  # still allowed
+
+
+INTEGER_FIELDS = [field for field, spec in FROZEN_FIELDS.items() if np.dtype(spec[2]).kind in "iu"]
+
+
+@pytest.mark.parametrize("case", ["above range", "below range", "fractional", "nan"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_record_refuses_a_value_its_dtype_cannot_hold(field, case):
+    """No value wraps or truncates on its way into an integer field."""
+    record, name, dtype, _, shape, others = FROZEN_FIELDS[field]
+    info = np.iinfo(dtype)
+    bad = {"above range": info.max + 1, "below range": info.min - 1,
+           "fractional": 0.5, "nan": np.nan}[case]
+    given = np.zeros(shape, dtype=np.int64 if "range" in case else np.float64)
+    given.flat[-1] = bad
+    # a label map checks its labels' range first, with a message of its own
+    message = name if record is SegmentationMap and "range" in case else f"{record.__name__}.{name}"
+    with pytest.raises(ValueError, match=message):
+        record(**{name: given}, **others)
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_record_keeps_whole_values_of_any_dtype(field):
+    record, name, dtype, _, shape, others = FROZEN_FIELDS[field]
+    given = np.zeros(shape)
+    given.flat[-1] = 1.0
+    stored = getattr(record(**{name: given}, **others), name)
+    assert stored.dtype == dtype and np.array_equal(stored, given)
+
+
+def test_bool_record_keeps_truthiness():
+    flags = ForegroundMask(np.array([[0, 255, -1], [0.5, 0.0, 2**40]])).flags
+    assert flags.tolist() == [[False, True, True], [True, False, True]]

@@ -120,6 +120,23 @@ def test_writers_reject_wrong_ndim(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", [256, -1, 0.5, np.nan], ids=["256", "-1", "0.5", "nan"])
+def test_writers_refuse_values_a_byte_cannot_hold(tmp_path, bad):
+    gray = np.array([[0, 255, bad]])
+    with pytest.raises(IoFailure, match="whole numbers in 0..255"):
+        netpbm.write_pgm(gray, tmp_path / "a.pgm")
+    with pytest.raises(IoFailure, match="whole numbers in 0..255"):
+        netpbm.write_ppm(np.stack([gray] * 3, axis=-1), tmp_path / "a.ppm")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_take_whole_values_of_any_dtype(tmp_path):
+    netpbm.write_pgm(np.array([[0.0, 255.0]]), tmp_path / "a.pgm")
+    netpbm.write_ppm(np.array([[[0, 7, 255]]], dtype=np.int64), tmp_path / "a.ppm")
+    assert (tmp_path / "a.pgm").read_bytes() == b"P5\n2 1\n255\n\x00\xff"
+    assert (tmp_path / "a.ppm").read_bytes() == b"P6\n1 1\n255\n\x00\x07\xff"
+
+
 def test_writers_copy_no_raster(tmp_path):
     """Each writer sends the array's own buffer after the header."""
     for write, pixels in ((netpbm.write_pgm, np.zeros((256, 256), dtype=np.uint8)),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -256,6 +257,44 @@ def whole_band_reference(spec, truth):
             plane = plane + spec.noise_sigma * block.reshape(spec.height, spec.width)
         cube[b] = np.clip(np.floor(plane + 0.5), 0.0, 255.0)
     return cube
+
+
+class TestSynthBands:
+    # 300 x 257 = 77,100 pixels: a whole tile, then a partial one
+    SPEC = dict(width=300, height=257, ink_count=3, noise_sigma=3.0, coverage=0.3, seed=7)
+
+    def test_take_gets_each_band_in_order(self, monkeypatch):
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+        spec = SynthSpec(bands=7, **self.SPEC)
+        taken = []
+        truth = synth.synth_bands(spec, lambda b, plane: taken.append((b, plane.copy())))
+        assert [b for b, _ in taken] == list(range(7))
+        want = whole_band_reference(spec, truth.labels)
+        for b, plane in taken:
+            assert plane.shape == (257, 300) and plane.dtype == np.uint8
+            assert plane.tobytes() == want[b].tobytes(), b
+
+    def test_exception_from_take_propagates_and_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+        threads = threading.active_count()
+        taken = []
+
+        def take(b, plane):
+            taken.append(b)
+            if b == 1:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            synth.synth_bands(SynthSpec(bands=9, **self.SPEC), take)
+        assert taken == [0, 1]
+        assert threading.active_count() == threads
+
+    def test_spec_failure_raises_before_take(self):
+        taken = []
+        with pytest.raises(InvalidSpec, match="separation"):
+            synth.synth_bands(SynthSpec(width=32, height=32, bands=4, ink_count=2,
+                                        noise_sigma=1e300), lambda b, plane: taken.append(b))
+        assert taken == []
 
 
 class TestTiledNoise:
