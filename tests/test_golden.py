@@ -24,7 +24,9 @@ the page bytes of the easy page made at sigma 0, the page bytes of a
 300x257 page (77,100 pixels: more than one 65,536-pixel noise tile, where
 every other pinned page fits in one), the easy page's
 `synth_spec.txt` sidecar, the `synth --json` and `segment --json` stdout
-(output paths replaced by a fixed token), the `eval` stdout, text and
+(output paths replaced by a fixed token), the easy page's text-mode
+`synth`, `segment` and `spectra` (full and sampled) stdout (the same
+token), the `eval` stdout, text and
 `--json`, of each page's segment labels against its truth, the first
 eight outputs of `u64_block` and `normal_block` for seed 1, and the
 Box-Muller uniforms behind the latter.
@@ -264,6 +266,37 @@ def test_synth_sidecar_and_json_pinned(pages, tmp_path):
         "json": _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()),
     }
     assert got == GOLDEN_SYNTH
+
+
+
+# sha256 of the easy page's text-mode stdout, output directory written as OUT
+GOLDEN_TEXT = {
+    "synth": "c611050a3c50f9fbac7a6e5e30c353b86811d214cbff60fbbcbf68180db280f8",
+    "segment": "4aab6fb89384e46ab833c8e86211946db356affb692e37be693c2b7504d89fc4",
+    "spectra": "84021d4476c4a00c57f0ad1710b036a3fd2c0a4a40a915a0b599b27e97889ea9",
+    "spectra-sample": "a4afe188315a7dcf72a843adc9cd9d97ae25ea76ffc2d48e36ec82312d9eab9f",
+}
+
+
+def _text_argv(run, doc, out):
+    return {
+        "synth": ["synth", "--out-dir", str(out / "easy"), "--width", "128", "--height", "128",
+                  "--bands", "33", "--inks", "5", "--noise-sigma", "8", "--seed", "1"],
+        "segment": ["segment", str(doc / "bands"), "--k", "5", "--seed", "0",
+                    *SEGMENT_FLAGS["easy"], "--out-render", str(out / "r.ppm"),
+                    "--out-labels", str(out / "l.pgm")],
+        "spectra": ["spectra", str(doc / "bands"), "--out", str(out / "s.csv")],
+        "spectra-sample": ["spectra", str(doc / "bands"), *SPECTRA_RUNS["sample"][1],
+                           "--out", str(out / "s.csv")],
+    }[run]
+
+
+@pytest.mark.parametrize("run", list(GOLDEN_TEXT))
+def test_text_stdout_pinned(pages, tmp_path, run):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(_text_argv(run, pages["easy"], tmp_path)) == 0
+    assert _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()) == GOLDEN_TEXT[run]
 
 
 def test_stream_blocks_pinned():
