@@ -23,6 +23,10 @@ the rows go too, and that one float64 copy is divided in place. `synth`
 writes each band as `synth.synth_bands` hands it over, with at most two
 bands drawn ahead of the one being written, so it never holds the whole
 cube; truth, manifest and sidecar follow the last band.
+Every command but `bands` prints its summary through `_report`: one
+sorted JSON line under `--json`, text lines otherwise, formatted only when
+printed. Every output file is written through `netpbm.write_file`, so a
+failed write raises IoFailure naming the file.
 Runtime/data failures, running out of memory and a stdout that cannot be
 written included, exit 1 with a one-line message on stderr; success exits 0.
 All outputs are deterministic functions of the flags, seeds included.
@@ -219,6 +223,16 @@ def _foreground(args):
     return mask, binarize.SpectrumSet(binarize.scale_to_unit_length(vectors), coords)
 
 
+def _report(args, summary: dict, text) -> None:
+    """Print a command's summary: under `--json` one line holding `summary`
+    and the command's name, otherwise the lines that `text()` returns. Only
+    text mode calls `text`, so `--json` formats nothing it does not print."""
+    if args.json:
+        print(json.dumps({"command": args.command, **summary}, sort_keys=True))
+    else:
+        print(*text(), sep="\n")
+
+
 def cmd_bands(args) -> int:
     from . import hsi_cube
 
@@ -236,17 +250,10 @@ def cmd_spectra(args) -> int:
 
     _, spectra = _foreground(args)
     rows = segment.export_spectra_csv(spectra, args.out, args.sample, args.seed)
-    if args.json:
-        print(json.dumps({
-            "command": "spectra",
-            "pixels": spectra.count,
-            "bands": spectra.bands,
-            "rows": rows,
-            "csv": str(args.out),
-        }, sort_keys=True))
-    else:
-        print(f"pixels={spectra.count} bands={spectra.bands}")
-        print(f"wrote {rows} rows to {args.out}")
+    _report(args, {"pixels": spectra.count, "bands": spectra.bands, "rows": rows,
+                   "csv": str(args.out)},
+            lambda: [f"pixels={spectra.count} bands={spectra.bands}",
+                     f"wrote {rows} rows to {args.out}"])
     return 0
 
 
@@ -272,25 +279,14 @@ def cmd_segment(args) -> int:
     segment.write_label_pgm(segmap, args.out_labels)
 
     counts = np.bincount(model.labels, minlength=args.k).tolist()
-    if args.json:
-        print(json.dumps({
-            "command": "segment",
-            "pixels": spectra.count,
-            "bands": spectra.bands,
-            "k": args.k,
-            "counts": counts,
-            "inertia": model.inertia,
-            "iterations": model.iterations,
-            "converged": model.converged,
-            "render": str(args.out_render),
-            "labels": str(args.out_labels),
-        }, sort_keys=True))
-    else:
-        print(f"pixels={spectra.count} bands={spectra.bands} k={args.k}")
-        for c, count in enumerate(counts, start=1):
-            print(f"cluster_{c}={count}")
-        print(f"inertia={model.inertia!r}")
-        print(f"iterations={model.iterations} converged={str(model.converged).lower()}")
+    _report(args, {"pixels": spectra.count, "bands": spectra.bands, "k": args.k,
+                   "counts": counts, "inertia": model.inertia,
+                   "iterations": model.iterations, "converged": model.converged,
+                   "render": str(args.out_render), "labels": str(args.out_labels)},
+            lambda: [f"pixels={spectra.count} bands={spectra.bands} k={args.k}",
+                     *(f"cluster_{c}={count}" for c, count in enumerate(counts, start=1)),
+                     f"inertia={model.inertia!r}",
+                     f"iterations={model.iterations} converged={str(model.converged).lower()}"])
     return 0
 
 
@@ -299,7 +295,7 @@ def cmd_synth(args) -> int:
 
     if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from . import hsi_cube, segment, synth
+    from . import hsi_cube, netpbm, segment, synth
 
     spec = synth.SynthSpec(
         width=args.width,
@@ -319,10 +315,10 @@ def cmd_synth(args) -> int:
         if b == 0:  # made here, so a spec failure leaves no out_dir
             (out_dir / "bands").mkdir(parents=True, exist_ok=True)
         hsi_cube.write_gray_pgm(hsi_cube.GrayImage(plane), out_dir / name)
-        manifest_lines.append(f"{b + 1}\t{name}")
+        manifest_lines.append(f"{b + 1}\t{name}\n".encode())
 
     truth = synth.synth_bands(spec, write_band)
-    (out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+    netpbm.write_file(out_dir / "manifest.txt", manifest_lines)
     segment.write_label_pgm(truth, out_dir / "truth.pgm")
 
     ink_pixels = int((truth.labels > 0).sum())
@@ -330,16 +326,12 @@ def cmd_synth(args) -> int:
     sidecar = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
                if f.name != "ink_signatures"}
     sidecar.update(ink_pixels=ink_pixels, realized_coverage=realized)
-    (out_dir / "synth_spec.txt").write_text(
-        "".join(f"{key}={value}\n" for key, value in sidecar.items()), encoding="utf-8"
-    )
-
-    if args.json:
-        print(json.dumps({"command": "synth", "out_dir": str(out_dir), **sidecar},
-                         sort_keys=True))
-    else:
-        print(f"wrote {spec.bands} bands, truth.pgm, manifest.txt, synth_spec.txt to {out_dir}")
-        print(f"ink_pixels={ink_pixels} realized_coverage={realized:.6f}")
+    netpbm.write_file(out_dir / "synth_spec.txt",
+                      (f"{key}={value}\n".encode() for key, value in sidecar.items()))
+    _report(args, {"out_dir": str(out_dir), **sidecar},
+            lambda: [f"wrote {spec.bands} bands, truth.pgm, manifest.txt, synth_spec.txt "
+                     f"to {out_dir}",
+                     f"ink_pixels={ink_pixels} realized_coverage={realized:.6f}"])
     return 0
 
 
@@ -349,18 +341,12 @@ def cmd_eval(args) -> int:
     pred = scoring.read_label_raster(args.pred)
     truth = scoring.read_label_raster(args.truth)
     accuracy, mapping, counts = scoring.best_bijection(pred, truth)
-    if args.json:
-        print(json.dumps({
-            "command": "eval",
-            "accuracy": accuracy,
-            "mapping": {str(p): t for p, t in sorted(mapping.items())},
-            "confusion": counts,
-        }, sort_keys=True))
-    else:
-        print(f"accuracy={accuracy:.6f}")
-        pairs = " ".join(f"{p}->{t}" for p, t in sorted(mapping.items()))
-        print(f"mapping: {pairs if pairs else '(none)'}")
-        print(scoring.format_confusion(counts))
+    pairs = sorted(mapping.items())
+    _report(args, {"accuracy": accuracy, "mapping": {str(p): t for p, t in pairs},
+                   "confusion": counts},
+            lambda: [f"accuracy={accuracy:.6f}",
+                     "mapping: " + (" ".join(f"{p}->{t}" for p, t in pairs) or "(none)"),
+                     scoring.format_confusion(counts)])
     return 0
 
 

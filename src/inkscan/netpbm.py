@@ -6,6 +6,10 @@ reader, `read_raster`, accepts the full netpbm header grammar (whitespace
 runs, ``#`` comments, zero-padded fields) but only 8-bit maxval; any other
 bytes raise UnsupportedFormat.
 
+`write_file` is the package's one file writer: every output file, the
+PGM/PPM writers' included, is written through it, so a failed write raises
+IoFailure ``cannot write <path>: <reason>`` wherever it happens.
+
 Importing this module loads no numpy. `read_raster` hands back the raster
 as a view of the file's bytes, which is all `eval` reads label maps with;
 `read_pgm` and `read_ppm` wrap that view as a uint8 array, and they and the
@@ -111,6 +115,16 @@ def cast_exact(values, dtype, order: str = "C") -> np.ndarray | None:
     return arr if lossless else None
 
 
+def write_file(path, chunks) -> None:
+    """Write the bytes-like `chunks` to `path` in turn; failing raises IoFailure naming it."""
+    try:
+        with open(path, "wb") as out:
+            for chunk in chunks:
+                out.write(chunk)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     import numpy as np
 
@@ -121,12 +135,7 @@ def _write(path, magic: bytes, pixels: np.ndarray) -> None:
     raster = cast_exact(pixels, np.uint8)
     if raster is None:
         raise IoFailure(f"refusing to write {path}: samples must be whole numbers in 0..255")
-    try:
-        with open(path, "wb") as out:
-            out.write(header)
-            out.write(raster)  # from the array's own buffer: no bytes copy of the raster
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, (header, raster))  # from the array's own buffer: no bytes copy
 
 
 def write_pgm(pixels: np.ndarray, path) -> None:

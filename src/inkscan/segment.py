@@ -15,7 +15,7 @@ import numpy as np
 
 from . import netpbm
 from .binarize import ForegroundMask, SpectrumSet
-from .errors import DimensionMismatch, IoFailure, TooManyClusters
+from .errors import DimensionMismatch, TooManyClusters
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
@@ -91,14 +91,14 @@ def render_segmentation(segmap: SegmentationMap, palette: np.ndarray) -> np.ndar
     `palette` is a (rows, 3) table of 0..255 colors, row 0 the background;
     its first k + 1 rows must be pairwise distinct.
     """
-    palette = np.asarray(palette)
-    if palette.ndim != 2 or palette.shape[1] != 3 or not ((palette >= 0) & (palette <= 255)).all():
-        raise ValueError(f"palette must be a (rows, 3) table of 0..255, got {palette.shape}")
-    if len(palette) <= segmap.k:
+    table = netpbm.cast_exact(palette, np.uint8)
+    if table is None or table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError(f"palette must be a (rows, 3) table of 0..255, got {np.shape(palette)}")
+    if len(table) <= segmap.k:
         raise TooManyClusters(
-            f"palette has {len(palette) - 1} cluster colors, map needs {segmap.k}"
+            f"palette has {len(table) - 1} cluster colors, map needs {segmap.k}"
         )
-    lut = palette[: segmap.k + 1].astype(np.uint8)
+    lut = table[: segmap.k + 1]
     if len({tuple(c) for c in lut.tolist()}) != len(lut):  # np.unique would import numpy.ma
         raise ValueError("palette colors must be pairwise distinct")
     # one 3-byte item per color: the gather copies whole pixels, and unlike
@@ -177,7 +177,8 @@ def _level_table(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_blocks(spectra: SpectrumSet, rows: np.ndarray | None):
-    """Yield the bytes of the `x,y,b1,...,bB` rows, _BLOCK_ROWS rows at a time.
+    """Yield the header line, then the bytes of the `x,y,b1,...,bB` rows,
+    _BLOCK_ROWS rows at a time.
 
     `rows` holds the ascending indices of the rows to write, or is None
     for all of them; each block's rows are gathered as it is written. A
@@ -186,6 +187,7 @@ def _csv_blocks(spectra: SpectrumSet, rows: np.ndarray | None):
     input of 8-bit levels too, are formatted value by value with repr,
     more slowly. Both give the bytes of the per-value repr rows.
     """
+    yield ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)]).encode() + b"\n"
     if spectra.eight_bit:
         table, xy_token = _level_table(spectra.coords)
     for start in range(0, spectra.count if rows is None else len(rows), _BLOCK_ROWS):
@@ -226,12 +228,5 @@ def export_spectra_csv(
         rows = None
     else:
         rows = np.sort(SplitMix64(seed).sample_indices(n, sample_limit))
-    header = ",".join(["x", "y"] + [f"b{j}" for j in range(1, spectra.bands + 1)])
-    try:
-        with open(path, "wb") as out:
-            out.write(header.encode() + b"\n")
-            for block in _csv_blocks(spectra, rows):
-                out.write(block)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    netpbm.write_file(path, _csv_blocks(spectra, rows))
     return n if rows is None else len(rows)

@@ -761,6 +761,20 @@ class TestFailedOutput:
             assert result.stderr.startswith(f"inkscan {command}: "), result.stderr
             assert result.stderr.count("\n") == 1, result.stderr
             assert "Traceback" not in result.stderr
+            if case.startswith("file"):
+                assert f"cannot write {first_file}: " in result.stderr, result.stderr
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "synth_spec.txt"])
+    def test_synth_names_the_text_file_it_cannot_write(self, small_page, tmp_path, capsys,
+                                                       name):
+        """The manifest and sidecar fail as every other output file does."""
+        argv, _ = command_args("synth", small_page, tmp_path)
+        bad = tmp_path / "d" / name
+        bad.mkdir(parents=True)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"inkscan synth: cannot write {bad}: "), err
+        assert err.count("\n") == 1, err
 
 
 FAILED_INPUTS = [(command, case) for command in ("bands", "spectra", "segment")

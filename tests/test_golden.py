@@ -40,7 +40,7 @@ import json
 import numpy as np
 import pytest
 
-from inkscan import binarize, hsi_cube, segment, synth
+from inkscan import binarize, hsi_cube, scoring, segment, synth
 from inkscan.cli import main
 from inkscan.cluster import KMeansParams, kmeans_init
 from inkscan.rng import normal_block, u64_block
@@ -166,6 +166,24 @@ def test_eval_stdout_pinned(pages, tmp_path, page):
     assert tuple(got) == GOLDEN_EVAL[page]
 
 
+def test_eval_json_formats_no_table(pages, tmp_path, monkeypatch):
+    """`eval --json` prints its pinned line without formatting the confusion table."""
+    doc, labels = pages["easy"], tmp_path / "l.pgm"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["segment", str(doc / "bands"), "--k", "5", "--seed", "0",
+                     *SEGMENT_FLAGS["easy"], "--out-render", str(tmp_path / "r.ppm"),
+                     "--out-labels", str(labels)]) == 0
+
+    def refuse(counts):
+        raise AssertionError("formatted a table that --json does not print")
+
+    monkeypatch.setattr(scoring, "format_confusion", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", str(labels), str(doc / "truth.pgm"), "--json"]) == 0
+    assert _sha(out.getvalue().encode()) == GOLDEN_EVAL["easy"][1]
+
+
 @pytest.mark.parametrize("page", ["easy", "close"])
 def test_kmeanspp_init_pinned(pages, page):
     cube = hsi_cube.load_cube(pages[page] / "bands")
@@ -266,7 +284,6 @@ def test_synth_sidecar_and_json_pinned(pages, tmp_path):
         "json": _sha(out.getvalue().replace(str(tmp_path), "OUT").encode()),
     }
     assert got == GOLDEN_SYNTH
-
 
 
 # sha256 of the easy page's text-mode stdout, output directory written as OUT

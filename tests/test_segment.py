@@ -123,12 +123,19 @@ class TestRender:
         ([(0, 0, 0), (256, 0, 0)], "table"),
         ([(0, 0, 0), (-1, 0, 0)], "table"),
         ([(0, 0, 0), (float("nan"), 0, 0)], "table"),
+        ([(0, 0, 0), (254.7, 0, 0)], "table"),  # fractional: a byte cannot hold it
         ([(0, 0, 0), (0, 0, 0)], "distinct"),
     ])
     def test_palette_table_checks(self, palette, message):
         segmap = SegmentationMap(np.array([[1]]), 1)
         with pytest.raises(ValueError, match=message):
             render_segmentation(segmap, palette)
+
+    def test_whole_valued_float_palette_renders(self):
+        palette = np.array([(0.0, 0.0, 0.0), (254.0, 1.0, 0.0)])
+        render = render_segmentation(SegmentationMap(np.array([[0, 1]]), 1), palette)
+        assert render.dtype == np.uint8
+        assert render.tolist() == [[[0, 0, 0], [254, 1, 0]]]
 
     def test_only_rows_in_use_must_be_distinct(self):
         palette = np.array([(0, 0, 0), (255, 0, 0), (255, 0, 0)], dtype=np.uint8)
