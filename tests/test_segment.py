@@ -123,8 +123,8 @@ class TestRender:
         ([(0, 0, 0), (256, 0, 0)], "table"),
         ([(0, 0, 0), (-1, 0, 0)], "table"),
         ([(0, 0, 0), (float("nan"), 0, 0)], "table"),
-        ([(0, 0, 0), (254.7, 0, 0)], "table"),  # fractional: a byte cannot hold it
         ([(0, 0, 0), (0, 0, 0)], "distinct"),
+        ([(0, 0, 0), (254.7, 0, 0)], "table"),  # fractional: a byte cannot hold it
     ])
     def test_palette_table_checks(self, palette, message):
         segmap = SegmentationMap(np.array([[1]]), 1)
