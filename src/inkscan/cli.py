@@ -13,9 +13,10 @@ Each command imports only the modules it runs, and building the parser
 imports none: `bands` loads `hsi_cube`; `spectra` adds `binarize` and
 `segment`; `segment` adds `cluster`; `synth` loads `synth`, `hsi_cube` and
 `segment`; and `eval` loads only `scoring` and `netpbm`, whose reader
-needs no numpy, so it (like `--help`) runs without numpy. The flag type checks that need a
-module (`--reference`, `--k`) import it when argparse calls them, which
-it does only for the chosen command.
+needs no numpy, so it (like `--help`) runs without numpy. The flag type
+checks of `--reference` and `--k` import `limits` when argparse calls
+them, which it does only for the chosen command; `limits` loads no numpy,
+so parsing the flags of any command loads none.
 `spectra` and `segment` gather the foreground's 8-bit band rows, let the
 cube go, and only then promote the rows to float64, so the cube and the
 float64 spectra are never alive together; under `--normalize unit-length`
@@ -43,11 +44,18 @@ run `main()` in process keep their collector as it was.
 A `synth` process defaults `OPENBLAS_NUM_THREADS` to 1 before it loads
 numpy: synth calls no BLAS routine, and OpenBLAS's worker would otherwise
 spin from numpy's import on, beside synth's noise threads on the same
-CPUs. A value the caller set wins, and a process that has numpy loaded
-already (an in-process caller of `main()`) keeps its environment as it
-is. Other commands leave it alone: `segment`'s matrix products use the
-second BLAS thread, and `spectra` and `segment` load numpy while argparse
-checks `--reference`, before their command bodies run.
+CPUs. A `segment` process whose fit forks (`--workers` and `--restarts`
+both above 1, where `os.fork` exists) takes the same default: each forked
+process would otherwise restart OpenBLAS's pool, and their threads would
+outnumber the CPUs. A value the caller set wins, and a process that has
+numpy loaded already (an in-process caller of `main()`) keeps its
+environment as it is. Otherwise the variable is left alone, since a
+one-process fit's matrix products use the second BLAS thread.
+
+`segment --workers N` runs the seeded restarts in min(N, restarts)
+processes (`cluster.kmeans_fit`). Its output bytes are the same for any
+N; each extra process adds its private pages to the memory in use; and
+where `os.fork` does not exist, every restart runs in one process.
 """
 
 import argparse
@@ -68,12 +76,12 @@ def _positive_int(text):
 
 
 def _cluster_count(text):
-    from . import segment
+    from .limits import MAX_CLUSTERS
 
     value = _positive_int(text)
-    if value > segment.MAX_CLUSTERS:
+    if value > MAX_CLUSTERS:
         raise argparse.ArgumentTypeError(
-            f"the default palette colors at most {segment.MAX_CLUSTERS} clusters, got {value}"
+            f"the default palette colors at most {MAX_CLUSTERS} clusters, got {value}"
         )
     return value
 
@@ -103,10 +111,10 @@ def _band_list(text):
 
 
 def _reference_mode(text):
-    from . import hsi_cube
+    from .limits import reference_band
 
     try:
-        hsi_cube.reference_band(text)
+        reference_band(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
@@ -139,8 +147,8 @@ def _add_cluster_flags(parser):
     parser.add_argument("--restarts", type=int, default=1,
                         help="seeded restarts, best inertia wins (default 1)")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="accepted for compatibility and changes nothing: the fit "
-                             "runs on one thread")
+                        help="processes that share the seeded restarts (default 1); "
+                             "output bytes are the same for any count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,6 +266,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    if args.workers > 1 and args.restarts > 1 and hasattr(os, "fork"):  # the fit forks
+        _default_one_blas_thread()
     import numpy as np
 
     from . import cluster, segment
@@ -271,7 +281,7 @@ def cmd_segment(args) -> int:
         restarts=args.restarts,
     )
     mask, spectra = _foreground(args)
-    model = cluster.kmeans_fit(spectra, params)
+    model = cluster.kmeans_fit(spectra, params, args.workers)
     segmap = segment.build_label_map(mask, model.labels, args.k)
     palette = segment.default_palette(args.k)
     render = segment.render_segmentation(segmap, palette)
@@ -290,11 +300,15 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _default_one_blas_thread() -> None:
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
 def cmd_synth(args) -> int:
     import dataclasses
 
-    if "numpy" not in sys.modules:  # OpenBLAS reads it once, as numpy loads
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _default_one_blas_thread()
     from . import hsi_cube, netpbm, segment, synth
 
     spec = synth.SynthSpec(

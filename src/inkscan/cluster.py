@@ -1,7 +1,7 @@
 """Deterministic K-means (Lloyd's algorithm) over spectral vectors.
 
-Everything here is reproducible bit-for-bit from the seed, on the
-calling thread:
+Everything here is reproducible bit-for-bit from the seed, whatever the
+number of worker processes:
 
 - initialization draws from the package's SplitMix64 stream;
 - assignment ties go to the lowest centroid index, and a sample at NaN
@@ -15,6 +15,18 @@ calling thread:
   model's gives every sample the same difference row, so its inertia would
   have the best's bits and lose the tie: it is dropped without its inertia
   pass.
+
+`kmeans_fit(..., workers=N)` splits the restarts over min(N, restarts)
+processes where `os.fork` exists: restart r runs in worker r % N, worker 0
+being the calling process, and the others are forked after the samples'
+kernel is built, so they share its pages until they write. Each restart
+computes exactly what it computes alone, and the winner is chosen here,
+in restart order, as above, so every output bit is the same for any N.
+Each extra process adds its private pages (its labels and temporaries,
+about 4 MB on a 512 x 512 page) to the summed memory, while the largest
+process's peak barely moves. Without `os.fork`, or with one worker, every
+restart runs in the calling process. Everything else runs on the calling
+thread.
 
 Distances are squared Euclidean on raw 64-bit floats. The exact kernel,
 `_sq_dists`, is NumPy's row sum ((x - c) * (x - c)).sum(axis=-1) on
@@ -46,12 +58,14 @@ set as NumPy sums each cluster's member rows, row-major. `assign` runs
 the same pass without the sums.
 """
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binarize import SpectrumSet
-from .errors import DimensionMismatch, InvalidSpec, TooFewSamples
+from .errors import DimensionMismatch, InkscanError, InvalidSpec, TooFewSamples
 from .hsi_cube import freeze_array
 from .rng import SplitMix64
 
@@ -323,12 +337,20 @@ def kmeans_fit(
     restart that `_ties_best` shows would tie the best so far is dropped
     before its inertia pass, and only a kept restart becomes a model.
 
-    Runs on the calling thread; `workers` is accepted and changes nothing.
+    `workers` > 1 runs the restarts in up to that many processes, forked
+    where `os.fork` exists (see the module docstring); the model has the
+    same bits for any `workers`. A restart that raises there raises here
+    with its class and message, the lowest failed restart's, as the
+    sequential loop would; a process that ends without its results raises
+    InkscanError naming its restarts. Run OpenBLAS on one thread in a fit
+    that forks (OPENBLAS_NUM_THREADS=1 before numpy loads, as `segment`
+    does): each process restarts its pool otherwise, and together their
+    threads outnumber the CPUs, which can make the split slower than one
+    process.
     """
     best = None  # _init_centroids rejects too few samples
     kern = _Kernel(spectra)
-    for restart in range(params.restarts):
-        centroids, labels, iterations, converged = _fit_once(kern, params, params.seed + restart)
+    for centroids, labels, iterations, converged in _restart_runs(kern, params, workers):
         if best is not None and _ties_best(best, centroids, labels):
             continue
         inertia = _inertia_fixed_order(kern.x, centroids, labels)
@@ -336,6 +358,103 @@ def kmeans_fit(
             best = ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
                                 iterations=iterations, converged=converged)
     return best
+
+
+def _restart_runs(kern, params, workers):
+    """`_fit_once`'s result for each restart, in restart order.
+
+    With at most one worker per restart, or without `os.fork`, each runs
+    here as it is asked for. Otherwise every result comes from
+    `_forked_results` first, and a restart that failed raises its error
+    where the sequential loop would have: the lowest failed restart's.
+    """
+    workers = min(workers, params.restarts)
+    if workers < 2 or not hasattr(os, "fork"):
+        for r in range(params.restarts):
+            yield _fit_once(kern, params, params.seed + r)
+        return
+    results = _forked_results(kern, params, workers)
+    for r in range(params.restarts):  # a worker stops at its first failure
+        if isinstance(results[r], BaseException):
+            raise results[r]
+        yield results[r]
+
+
+def _fit_share(kern, params, share) -> dict:
+    """{r: `_fit_once`'s result} for the restarts r in `share`, in order, up to
+    the first that raises, which maps to its exception instead."""
+    results = {}
+    for r in share:
+        try:
+            results[r] = _fit_once(kern, params, params.seed + r)
+        except Exception as exc:  # raised in restart order by `_restart_runs`
+            results[r] = exc
+            break
+    return results
+
+
+def _forked_results(kern, params, workers: int) -> dict:
+    """`_fit_share` of every restart, split over `workers` processes.
+
+    Worker w runs restarts w, w + workers, ...: worker 0 in this process,
+    each other one in a child forked after `kern` was built, which sends
+    its share back pickled through a pipe. A child that ends without
+    sending it maps each of its restarts to an InkscanError naming them.
+    Every child is killed if still running, and reaped, however this
+    returns.
+    """
+    import signal  # about 1 ms to import, paid only by a fit that forks
+
+    children = []  # (pid, read end, share) of each child not yet reaped
+    try:
+        for w in range(1, workers):
+            share = range(w, params.restarts, workers)
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _serve_share(kern, params, share, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), share))
+        results = _fit_share(kern, params, range(0, params.restarts, workers))
+        while children:
+            pid, pipe, share = children[0]
+            data = pipe.read()  # before waitpid: a share's labels outgrow the pipe's buffer
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code == 0:
+                results.update(pickle.loads(data))
+                continue
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            held = ", ".join(map(str, share))
+            lost = InkscanError(f"the process fitting restarts {held} ended without "
+                                f"a result ({how})")
+            results.update(dict.fromkeys(share, lost))
+        return results
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve_share(kern, params, share, write_fd: int):
+    """A forked child's whole life: pickle `_fit_share`'s results into
+    `write_fd`, then `os._exit`, 0 only once they are written. It never
+    returns into the caller's stack, flushes no buffer it inherited and
+    runs no atexit handler."""
+    code = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(_fit_share(kern, params, share), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _ties_best(best: ClusterModel, centroids: np.ndarray, labels: np.ndarray) -> bool:

@@ -20,6 +20,7 @@ from .errors import (
     MissingBandFile,
     UnsupportedFormat,
 )
+from .limits import reference_band
 
 
 def freeze_array(record, name: str, dtype, ndim: int, order: str = "C") -> np.ndarray:
@@ -200,15 +201,6 @@ def band_image(cube: HyperCube, band_index: int) -> GrayImage:
     """The exact W x H slice for a 1-based band index; no rescaling."""
     _check_band(band_index, cube.bands)
     return GrayImage(cube.data[band_index - 1])
-
-
-def reference_band(mode: str) -> int:
-    """The 1-based band a reference mode names: i for "band:<i>", 0 for "mean"."""
-    if mode == "mean":
-        return 0
-    if mode.startswith("band:") and mode[5:].isdecimal() and int(mode[5:]) >= 1:
-        return int(mode[5:])
-    raise ValueError(f"bad reference mode {mode!r}; use 'mean' or 'band:<i>' with i >= 1")
 
 
 def reference_image(cube: HyperCube, mode: str = "mean") -> GrayImage:

@@ -17,22 +17,11 @@ from . import netpbm
 from .binarize import ForegroundMask, SpectrumSet
 from .errors import DimensionMismatch, TooManyClusters
 from .hsi_cube import freeze_array
+from .limits import MAX_CLUSTERS, PALETTE
 from .rng import SplitMix64
 
-# row 0 is the background, row c the color of cluster c; byte-stable across runs
-_COLORS = np.array([
-    (0, 0, 0),        # black
-    (255, 0, 0),      # red
-    (0, 255, 0),      # green
-    (0, 0, 255),      # blue
-    (255, 255, 0),    # yellow
-    (255, 0, 255),    # magenta
-    (0, 255, 255),    # cyan
-    (255, 165, 0),    # orange
-    (128, 0, 128),    # purple
-], dtype=np.uint8)
+_COLORS = np.array(PALETTE, dtype=np.uint8)
 _COLORS.flags.writeable = False
-MAX_CLUSTERS = len(_COLORS) - 1  # clusters the default palette can color
 
 
 @dataclass(frozen=True, eq=False)

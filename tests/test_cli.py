@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -14,7 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import avx512_off_env, subprocess_env
+from conftest import (
+    X86_V3_TARGETS,
+    avx512_off_env,
+    cpu_features_off_env,
+    openblas_core_env,
+    subprocess_env,
+)
 from inkscan import binarize, cluster, hsi_cube, netpbm, segment, synth
 from inkscan.cli import _foreground, build_parser, main
 from inkscan.errors import IoFailure
@@ -279,8 +286,10 @@ class TestSegment:
         assert labels_a.read_bytes() == labels_b.read_bytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, capsys):
-        """BLAS scores only choose which samples the exact kernel labels, so
-        OpenBLAS's thread count moves no output byte, on 8-bit and on
+        """BLAS scores only choose which samples the exact kernel labels, and
+        the restarts' winner is picked in restart order, so neither OpenBLAS's
+        thread count (unset, so the CLI's default at two workers, or set) nor
+        the number of fit processes moves an output byte, on 8-bit and on
         unit-length samples. The page's foreground spans more than one
         4096-sample chunk."""
         doc = tmp_path / "doc"
@@ -289,53 +298,58 @@ class TestSegment:
                      "--coverage", "0.6", "--seed", "5"]) == 0
         render, labels = tmp_path / "r.ppm", tmp_path / "l.pgm"  # --json prints the paths
         runs = []
-        for threads in ("1", "2"):
-            env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
-            outputs = []
-            for normalize in ("none", "unit-length"):  # 8-bit and real-valued samples
-                result = subprocess.run(
-                    [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
-                     "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
-                     "--normalize", normalize, "--out-render", str(render),
-                     "--out-labels", str(labels), "--json"],
-                    capture_output=True, env=env,
-                )
-                assert result.returncode == 0, result.stderr
-                outputs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
-            runs.append(outputs)
+        for threads in (None, "1", "2"):
+            for workers in ("1", "2"):
+                outputs = []
+                for normalize in ("none", "unit-length"):  # 8-bit and real-valued samples
+                    result = subprocess.run(
+                        [sys.executable, "-m", "inkscan", "segment", str(doc / "bands"),
+                         "--threshold", "40", "--k", "5", "--seed", "0", "--restarts", "2",
+                         "--workers", workers, "--normalize", normalize,
+                         "--out-render", str(render), "--out-labels", str(labels), "--json"],
+                        capture_output=True, env=env_with_blas_threads(threads),
+                    )
+                    assert result.returncode == 0, result.stderr
+                    outputs.append((result.stdout, render.read_bytes(), labels.read_bytes()))
+                runs.append(outputs)
         assert json.loads(runs[0][0][0])["pixels"] > 4096
-        assert runs[0] == runs[1]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_bytes_do_not_depend_on_simd_dispatch(self, tmp_path):
         """NumPy picks its SIMD loops at run time, and np.log's AVX-512 loop
-        rounds differently from its AVX2 baseline in some last bits. With the
-        AVX-512 targets switched off, `synth` and `segment` still write the
-        same bytes, 8-bit and unit-length alike. This covers NumPy's AVX2
-        baseline on an AVX-512 host, not a host without AVX2 or another
-        architecture."""
-        doc, render, labels = tmp_path / "doc", tmp_path / "r.ppm", tmp_path / "l.pgm"
-        unit_render, unit_labels = tmp_path / "ru.ppm", tmp_path / "lu.pgm"
+        rounds differently from its AVX2 baseline in some last bits; a
+        DYNAMIC_ARCH OpenBLAS picks its kernels at run time too. `synth`, and
+        `segment` at one and two workers, 8-bit and unit-length, write the
+        same bytes under NumPy's default loops, its AVX2 loops (AVX-512 off),
+        its x86-64-v2 (SSE4.2) baseline loops (every dispatch target off),
+        and OpenBLAS's Prescott kernels. This covers those NumPy loops and
+        OpenBLAS kernels on one x86-64 host, not another architecture such
+        as aarch64."""
+        doc = tmp_path / "doc"
+        commands = [["synth", "--out-dir", str(doc), "--width", "64", "--height", "64",
+                     "--bands", "33", "--inks", "5", "--noise-sigma", "8",
+                     "--coverage", "0.6", "--seed", "5", "--json"]]
+        for workers in ("1", "2"):
+            for normalize in ("none", "unit-length"):
+                tag = f"{workers}-{normalize}"
+                commands.append(["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
+                                 "--seed", "0", "--restarts", "2", "--workers", workers,
+                                 "--normalize", normalize,
+                                 "--out-render", str(tmp_path / f"r{tag}.ppm"),
+                                 "--out-labels", str(tmp_path / f"l{tag}.pgm"), "--json"])
         runs = []
-        for env in (subprocess_env(NPY_DISABLE_CPU_FEATURES=""), avx512_off_env()):
+        for env in (subprocess_env(NPY_DISABLE_CPU_FEATURES=""), avx512_off_env(),
+                    cpu_features_off_env(X86_V3_TARGETS), openblas_core_env("Prescott")):
             outputs = []
-            for args in (["synth", "--out-dir", str(doc), "--width", "64", "--height", "64",
-                          "--bands", "33", "--inks", "5", "--noise-sigma", "8",
-                          "--coverage", "0.6", "--seed", "5", "--json"],
-                         ["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
-                          "--seed", "0", "--restarts", "2", "--out-render", str(render),
-                          "--out-labels", str(labels), "--json"],
-                         ["segment", str(doc / "bands"), "--threshold", "40", "--k", "5",
-                          "--seed", "0", "--restarts", "2", "--normalize", "unit-length",
-                          "--out-render", str(unit_render), "--out-labels", str(unit_labels),
-                          "--json"]):
+            for args in commands:
                 result = subprocess.run([sys.executable, "-m", "inkscan", *args],
                                         capture_output=True, env=env)
                 assert result.returncode == 0, result.stderr
                 outputs.append(result.stdout)
             files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
             runs.append((outputs, {p: p.read_bytes() for p in files}))
-        assert len(runs[0][1]) == 33 + 7  # bands, manifest, truth, sidecar, 2 renders and labels
-        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == 33 + 3 + 4 * 2  # bands, manifest, truth, sidecar, renders, labels
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_k1_single_ink_color(self, synth_dir, tmp_path, capsys):
         render = tmp_path / "k1.ppm"
@@ -908,6 +922,71 @@ class TestSynthBlasDefault:
         assert pages[0] == pages[1] == pages[2]
 
 
+class TestSegmentBlasDefault:
+    """A `segment` process whose fit forks asks OpenBLAS for no worker
+    thread unless told otherwise, as `synth` does; a one-process fit keeps
+    BLAS's default."""
+
+    def test_parsing_segment_flags_loads_no_numpy(self):
+        """The --k and --reference checks read `limits`, which loads no numpy."""
+        script = ("import sys; from inkscan import cli; "
+                  "cli.build_parser().parse_args(['segment', 'doc', '--k', '5', "
+                  "'--reference', 'band:2', '--workers', '2']); "
+                  "print('numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env=subprocess_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
+    @pytest.mark.parametrize("flags, threads, seen", [
+        (["--workers", "2", "--restarts", "2"], None, "1"),
+        (["--workers", "2", "--restarts", "2"], "2", "2"),
+        (["--workers", "1", "--restarts", "2"], None, "None"),
+        (["--workers", "2", "--restarts", "1"], None, "None"),
+    ], ids=["forks", "caller-wins", "one-worker", "one-restart"])
+    def test_forked_fit_defaults_to_one_thread(self, synth_dir, tmp_path, flags, threads,
+                                               seen):
+        check = ("import atexit, os; "
+                 "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'))); "
+                 "from inkscan.cli import entrypoint; entrypoint()")
+        result = subprocess.run(
+            [sys.executable, "-c", check, "segment", str(synth_dir / "bands"), "--k", "3",
+             *flags, "--out-render", str(tmp_path / "r.ppm"),
+             "--out-labels", str(tmp_path / "l.pgm"), "--json"],
+            capture_output=True, text=True, env=env_with_blas_threads(threads))
+        assert result.returncode == 0, result.stderr
+        summary, value = result.stdout.splitlines()  # no child ran the atexit handler
+        assert json.loads(summary)["k"] == 3
+        assert value == seen
+
+    def test_main_in_process_leaves_the_environment(self, synth_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        assert main(["segment", str(synth_dir / "bands"), "--k", "3", "--workers", "2",
+                     "--restarts", "2", "--out-render", str(tmp_path / "r.ppm"),
+                     "--out-labels", str(tmp_path / "l.pgm")]) == 0
+        assert dict(os.environ) == before
+
+    def test_lost_worker_exits_1_with_one_line(self, synth_dir, tmp_path, capsys,
+                                               monkeypatch):
+        fit_once = cluster._fit_once
+
+        def killed_at_seed_1(kern, params, seed):
+            if seed == 1:  # the second restart, in the forked worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_once(kern, params, seed)
+
+        monkeypatch.setattr(cluster, "_fit_once", killed_at_seed_1)
+        render = tmp_path / "r.ppm"
+        assert main(["segment", str(synth_dir / "bands"), "--k", "3", "--workers", "2",
+                     "--restarts", "2", "--out-render", str(render),
+                     "--out-labels", str(tmp_path / "l.pgm")]) == 1
+        assert capsys.readouterr().err == ("inkscan segment: the process fitting restarts 1 "
+                                           "ended without a result (signal 9)\n")
+        assert not render.exists()
+
+
 # modules a fresh process must not hold after each command ("import": a bare
 # `import inkscan`; "help": `inkscan --help`); np.unique imports numpy.ma,
 # 15-18 ms a run segment has no use for; numpy's import is about half of eval's time
@@ -919,8 +998,8 @@ UNWANTED = {
     "spectra": ["inkscan.cluster", "inkscan.synth", "inkscan.scoring", "concurrent.futures",
                 "logging"],
     "eval": ["inkscan.cluster", "inkscan.synth", "concurrent.futures", "logging", "numpy"],
-    "segment": ["inkscan.synth", "inkscan.scoring", "concurrent.futures", "logging",
-                "numpy.ma"],
+    "segment": ["inkscan.synth", "inkscan.scoring", "concurrent.futures", "multiprocessing",
+                "logging", "numpy.ma"],
     "synth": ["inkscan.cluster", "inkscan.scoring"],
 }
 

@@ -2,8 +2,12 @@
 determinism across runs and worker counts, and the distance kernel and
 cluster sums against the broadcast formulas they compute, bit for bit."""
 
+import dataclasses
 import itertools
 import math
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,7 +37,7 @@ from inkscan.cluster import (
     kmeans_fit,
     kmeans_init,
 )
-from inkscan.errors import DimensionMismatch, InvalidSpec, TooFewSamples
+from inkscan.errors import DimensionMismatch, InkscanError, InvalidSpec, TooFewSamples
 from inkscan.hsi_cube import reference_image
 from inkscan.rng import SplitMix64
 from inkscan.synth import SynthSpec, synth_document
@@ -372,6 +376,92 @@ class TestRestarts:
         held = perm[best.labels[0]]
         centroids[held, 0] = np.nextafter(centroids[held, 0], np.inf)
         assert not cluster._ties_best(best, centroids, labels)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerSplit:
+    """`kmeans_fit(..., workers=w)` runs restart r in process r % w, forked
+    children included, and picks the winner here in restart order: every
+    bit is the one-process fit's, a failure is the one the sequential loop
+    raises, and no child outlives the fit."""
+
+    @pytest.mark.parametrize("case", ["easy", "close", "unit-length", "reseed"])
+    def test_same_bits_at_any_worker_count(self, restart_cases, case, monkeypatch):
+        """8-bit pages where later restarts tie the best (easy) or not
+        (close), real-valued samples, and restarts that reseed empty
+        clusters; 6 workers is one more than the restarts."""
+        spectra, params = restart_cases["close" if case == "unit-length" else case]
+        if case == "unit-length":
+            spectra = normalize_spectra(spectra, "unit-length")
+        if case == "reseed":  # it reseeds from the first pass on; 5 passes keep it quick
+            params = dataclasses.replace(params, max_iterations=5)
+        calls, inertia_pass = [], cluster._inertia_fixed_order
+        monkeypatch.setattr(cluster, "_inertia_fixed_order",
+                            lambda *args: calls.append(1) or inertia_pass(*args))
+        fits = []
+        for workers in (1, 2, 3, 5, 6):
+            fits.append(kmeans_fit(spectra, params, workers=workers))
+            assert_no_child_left()
+        first = fits[0]
+        for other in fits[1:]:
+            assert other.centroids.tobytes() == first.centroids.tobytes()
+            assert other.labels.tobytes() == first.labels.tobytes()
+            assert bits(other.inertia) == bits(first.inertia)
+            assert (other.iterations, other.converged) == (first.iterations, first.converged)
+        if case == "easy":  # four restarts tie the first, here as in the one-process fit
+            assert len(calls) == 5
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failed_restart_raises(self, restart_cases, workers, monkeypatch):
+        """Seeds 1 and 3 fail; at 3 workers seed 3 fails in this process and
+        seed 1 in a child, and seed 1's error is the one raised."""
+        spectra, params = restart_cases["close"]
+        fit_once = cluster._fit_once
+
+        def failing(kern, params, seed):
+            if seed in (1, 3):
+                raise RuntimeError(f"restart with seed {seed} failed")
+            return fit_once(kern, params, seed)
+
+        monkeypatch.setattr(cluster, "_fit_once", failing)
+        with pytest.raises(RuntimeError, match=r"^restart with seed 1 failed$"):
+            kmeans_fit(spectra, params, workers=workers)
+        assert_no_child_left()
+
+    def test_child_that_dies_names_its_restarts(self, restart_cases, monkeypatch):
+        spectra, params = restart_cases["close"]
+        fit_once = cluster._fit_once
+
+        def killed_at_seed_1(kern, params, seed):
+            if seed == 1:  # in the child that holds restarts 1 and 3
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fit_once(kern, params, seed)
+
+        monkeypatch.setattr(cluster, "_fit_once", killed_at_seed_1)
+        message = r"^the process fitting restarts 1, 3 ended without a result \(signal 9\)$"
+        with pytest.raises(InkscanError, match=message):
+            kmeans_fit(spectra, params, workers=2)
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_running_children(self, restart_cases, monkeypatch):
+        spectra, params = restart_cases["close"]
+        parent = os.getpid()
+
+        def interrupted_here_stuck_there(kern, params, seed):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(cluster, "_fit_once", interrupted_here_stuck_there)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            kmeans_fit(spectra, params, workers=3)
+        assert_no_child_left()
+        assert time.monotonic() - started < 30
 
 
 class TestInit:
