@@ -12,7 +12,7 @@ only for the modules it runs.
 
 _EXPORTS = {
     "binarize": ("ForegroundMask", "SpectrumSet", "ThresholdConfig", "extract_spectra",
-                 "normalize_spectra", "otsu_threshold", "threshold_binary"),
+                 "foreground", "otsu_threshold", "threshold_binary"),
     "cluster": ("ClusterModel", "KMeansParams", "assign", "inertia", "kmeans_fit",
                 "kmeans_init"),
     "hsi_cube": ("GrayImage", "HyperCube", "band_image", "load_cube", "reference_image",

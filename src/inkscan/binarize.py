@@ -3,9 +3,14 @@
 The default contract follows the bright-ink-on-dark-background convention:
 a pixel at or above the threshold is foreground, everything below is
 background. The opposite polarity handles conventional dark-ink scans.
+
+`foreground` gathers the foreground's 8-bit band rows, lets the cube go,
+and only then promotes the rows to float64, so the cube and the float64
+spectra are never alive together; under unit-length normalization the
+rows go too, and that one float64 copy is divided in place.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -16,7 +21,8 @@ from .errors import (
     InvalidSpec,
     ZeroSpectrum,
 )
-from .hsi_cube import GrayImage, HyperCube, freeze_array
+from .hsi_cube import GrayImage, HyperCube, freeze_array, load_cube, reference_image
+from .limits import reference_band
 
 KEEP_AT_OR_ABOVE = "keep-at-or-above"
 KEEP_BELOW = "keep-below"
@@ -172,24 +178,45 @@ def gather_foreground(cube: HyperCube, mask: ForegroundMask) -> tuple[np.ndarray
 
 
 def extract_spectra(cube: HyperCube, mask: ForegroundMask) -> SpectrumSet:
-    """One spectral row per foreground pixel, in row-major scan order.
-
-    The caller's cube stays alive while the float64 rows are built; the CLI
-    instead calls `gather_foreground`, lets the cube go, and only then
-    promotes the 8-bit rows through `SpectrumSet`.
-    """
+    """One spectral row per foreground pixel, in row-major scan order; unlike
+    `foreground`, it keeps the caller's cube alive while the float64 rows are built."""
     rows, coords = gather_foreground(cube, mask)
     return SpectrumSet(rows.T, coords)
 
 
-def normalize_spectra(spectra: SpectrumSet, mode: str = "none") -> SpectrumSet:
-    """Optionally rescale each row to unit Euclidean norm, in a new set."""
-    if mode == "none":
-        return spectra
-    if mode != "unit-length":
-        raise ValueError(f"unknown normalization {mode!r}; use 'none' or 'unit-length'")
-    return SpectrumSet(scale_to_unit_length(np.array(spectra.vectors, order="F")),
-                       spectra.coords)
+@dataclass(frozen=True, eq=False)
+class Foreground:
+    """What `foreground` found, with the threshold it applied."""
+
+    mask: ForegroundMask
+    spectra: SpectrumSet
+    threshold: int
+    otsu_fell_back: bool
+
+
+def foreground(source, config: ThresholdConfig, reference: str = "mean", otsu: bool = False,
+               normalize: str = "none") -> Foreground:
+    """A cube source's ink mask, thresholded at Otsu's t under `otsu` (at `config.value`
+    without it or on a constant reference image), and its spectra, normalized 'none' or
+    'unit-length'. An unknown `normalize` or a `band:<i>` past B fails before any read."""
+    if normalize not in ("none", "unit-length"):
+        raise ValueError(f"unknown normalization {normalize!r}; use 'none' or 'unit-length'")
+    band = reference_band(reference)
+    cube = load_cube(source, [band] if band else ())
+    ref = reference_image(cube, reference)
+    fell_back = False
+    if otsu:
+        try:
+            config = replace(config, value=otsu_threshold(ref))
+        except DegenerateHistogram:
+            fell_back = True
+    mask = threshold_binary(ref, config)
+    rows, coords = gather_foreground(cube, mask)
+    del cube, ref  # under band:<i>, ref is a view that keeps the whole cube alive
+    if normalize == "unit-length":  # the 8-bit rows go before their float64 copy is divided
+        rows = rows.T.astype(np.float64, order="F").T
+        scale_to_unit_length(rows.T)
+    return Foreground(mask, SpectrumSet(rows.T, coords), config.value, fell_back)
 
 
 def scale_to_unit_length(vectors: np.ndarray) -> np.ndarray:

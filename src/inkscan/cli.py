@@ -17,13 +17,9 @@ needs no numpy, so it (like `--help`) runs without numpy. The flag type
 checks of `--reference` and `--k` import `limits` when argparse calls
 them, which it does only for the chosen command; `limits` loads no numpy,
 so parsing the flags of any command loads none.
-`spectra` and `segment` gather the foreground's 8-bit band rows, let the
-cube go, and only then promote the rows to float64, so the cube and the
-float64 spectra are never alive together; under `--normalize unit-length`
-the rows go too, and that one float64 copy is divided in place. `synth`
-writes each band as `synth.synth_bands` hands it over, with at most two
-bands drawn ahead of the one being written, so it never holds the whole
-cube; truth, manifest and sidecar follow the last band.
+`synth` writes each band as `synth.synth_bands` hands it over, with at
+most two bands drawn ahead of the one being written, so it never holds
+the whole cube; truth, manifest and sidecar follow the last band.
 Every command but `bands` prints its summary through `_report`: one
 sorted JSON line under `--json`, text lines otherwise, formatted only when
 printed. Every output file is written through `netpbm.write_file`, so a
@@ -65,7 +61,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DegenerateHistogram, InkscanError, InvalidSpec
+from .errors import InkscanError, InvalidSpec
 
 
 def _positive_int(text):
@@ -206,29 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _foreground(args):
-    """The ink mask and its (normalized) spectra, as `spectra` and `segment` use them."""
-    import dataclasses
-
-    import numpy as np
-
-    from . import binarize, hsi_cube
+    """The ink mask and spectra of `spectra` and `segment`. The Otsu fallback
+    note follows them, so a run that fails to find them prints one line."""
+    from . import binarize
 
     config = binarize.ThresholdConfig(args.threshold, args.polarity)
-    cube = hsi_cube.load_cube(args.input)
-    ref = hsi_cube.reference_image(cube, args.reference)
-    if args.otsu:
-        try:
-            config = dataclasses.replace(config, value=binarize.otsu_threshold(ref))
-        except DegenerateHistogram:
-            print(f"otsu degenerate; falling back to t={config.value}", file=sys.stderr)
-    mask = binarize.threshold_binary(ref, config)
-    rows, coords = binarize.gather_foreground(cube, mask)
-    del cube, ref  # under band:<i>, ref is a view that keeps the whole cube alive
-    if args.normalize == "none":
-        return mask, binarize.SpectrumSet(rows.T, coords)
-    vectors = rows.T.astype(np.float64, order="F")
-    del rows  # the rows go before the float64 copy is divided in place
-    return mask, binarize.SpectrumSet(binarize.scale_to_unit_length(vectors), coords)
+    found = binarize.foreground(args.input, config, args.reference, args.otsu, args.normalize)
+    if found.otsu_fell_back:
+        print(f"otsu degenerate; falling back to t={found.threshold}", file=sys.stderr)
+    return found.mask, found.spectra
 
 
 def _report(args, summary: dict, text) -> None:

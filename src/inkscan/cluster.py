@@ -35,10 +35,10 @@ each distance is summed along its contiguous bands.
 
 k-means++ init needs every sample's distance to one picked sample, and
 those distances feed sampling sums, so they must have the exact kernel's
-bits. On a set built from uint8 rows, which `SpectrumSet.eight_bit` marks
-and `extract_spectra` gives, `_sq_dist_to` takes them from one matvec,
-|x|^2 + |c|^2 - 2 c.x: sample and point are then 8-bit levels, so every
-term and partial sum is an exact integer, whatever order BLAS sums in.
+bits. On a uint8-built set (`SpectrumSet.eight_bit`), as `extract_spectra`
+and an unnormalized `foreground` give, `_sq_dist_to` takes them from one
+matvec, |x|^2 + |c|^2 - 2 c.x: sample and point are then 8-bit levels, so
+every term and partial sum is an exact integer, whatever order BLAS sums in.
 Any other set takes the exact kernel: unit-length samples, and float
 input even where it holds 8-bit levels, with the same bits, only slower.
 So does the empty-cluster reseed, which measures from a centroid

@@ -134,19 +134,17 @@ def _check_band(band_index: int, bands: int) -> None:
         raise BandOutOfRange(f"band {band_index} not in 1..{bands}")
 
 
-def _band_files(source, indices=None) -> list[tuple[int, Path]]:
-    """The (1-based index, path) of the bands `indices` (all if None), checked in range."""
+def _band_files(source, check=()) -> list[tuple[int, Path]]:
+    """Every band's (1-based index, path), each index in `check` checked to lie in 1..B."""
     source = Path(source)
     if not source.exists():
         raise MissingBandFile(f"cube source {source} does not exist")
     paths = _band_paths(source)
     if not paths:
         raise EmptyCube(f"{source} holds no band files")
-    if indices is None:
-        return paths
-    for band_index in indices:
+    for band_index in check:
         _check_band(band_index, len(paths))
-    return [paths[i - 1] for i in indices]
+    return paths
 
 
 def _read_planes(paths):
@@ -170,15 +168,16 @@ def _read_planes(paths):
         yield plane
 
 
-def load_cube(source) -> HyperCube:
+def load_cube(source, check_bands=()) -> HyperCube:
     """Load a cube from a directory of band PGMs or from a manifest file.
 
     Directory mode orders *.pgm files by natural numeric filename order;
     manifest mode uses the declared 1..B indices. Intensities are
     preserved exactly. Each band is copied into the cube's one
     (B, H, W) array as it is read, so no band file's bytes outlive it.
+    A 1-based index in `check_bands` past B fails before any band is read.
     """
-    paths = _band_files(source)
+    paths = _band_files(source, check_bands)
     data = None
     for b, plane in enumerate(_read_planes(paths)):
         if data is None:
@@ -194,7 +193,8 @@ def load_bands(source, indices) -> list[GrayImage]:
     as in load_cube, and every index must lie in 1..B before any band is
     read. The bands read must share one shape.
     """
-    return [GrayImage(plane) for plane in _read_planes(_band_files(source, indices))]
+    paths = _band_files(source, indices)
+    return [GrayImage(plane) for plane in _read_planes(paths[i - 1] for i in indices)]
 
 
 def band_image(cube: HyperCube, band_index: int) -> GrayImage:

@@ -1,7 +1,7 @@
 """Rules the CLI checks while it parses flags, kept free of numpy so that
 parsing loads none: the reference-mode grammar, and the default palette,
-whose size caps the cluster count. `hsi_cube` and `segment` take them
-from here.
+whose size caps the cluster count. `hsi_cube`, `binarize` and `segment`
+take them from here.
 """
 
 # row 0 is the background, row c the color of cluster c; byte-stable across runs

@@ -14,9 +14,10 @@ from inkscan.binarize import (
     SpectrumSet,
     ThresholdConfig,
     extract_spectra,
+    foreground,
     gather_foreground,
-    normalize_spectra,
     otsu_threshold,
+    scale_to_unit_length,
     threshold_binary,
 )
 from inkscan.errors import (
@@ -26,7 +27,7 @@ from inkscan.errors import (
     InvalidSpec,
     ZeroSpectrum,
 )
-from inkscan.hsi_cube import GrayImage, HyperCube
+from inkscan.hsi_cube import GrayImage, HyperCube, band_image, write_gray_pgm
 from conftest import make_spectrum_set
 
 
@@ -162,12 +163,15 @@ class TestExtractSpectra:
         for row, (x, y) in zip(spectra.vectors, spectra.coords):
             assert row.tobytes() == cube.data[:, y, x].astype(np.float64).tobytes()
 
-    def test_samples_stored_band_major(self, rng):
+    def test_samples_stored_band_major(self, rng, tmp_path):
         cube = HyperCube(rng.integers(1, 256, size=(7, 6, 5)).astype(np.uint8))
         spectra = extract_spectra(cube, ForegroundMask(rng.random((6, 5)) < 0.5))
-        for stored in (spectra, normalize_spectra(spectra, "unit-length")):
+        for b in range(cube.bands):
+            write_gray_pgm(band_image(cube, b + 1), tmp_path / f"band_{b + 1}.pgm")
+        unit = foreground(tmp_path, ThresholdConfig(0), normalize="unit-length").spectra
+        for stored in (spectra, unit):
             assert stored.vectors.T.flags.c_contiguous
-            assert stored.vectors.shape == (spectra.count, 7)
+            assert stored.vectors.shape[1] == 7
 
     def test_empty_mask_raises(self):
         cube = HyperCube(np.zeros((2, 3, 3), dtype=np.uint8))
@@ -235,19 +239,12 @@ class TestExtractSpectra:
 
 
 class TestNormalize:
-    def test_none_is_identity(self, rng):
-        spectra = make_spectrum_set(rng.random((5, 4)))
-        assert normalize_spectra(spectra, "none") is spectra
-
     def test_three_four_five_triangle(self):
-        spectra = make_spectrum_set([[3.0, 4.0]])
-        unit = normalize_spectra(spectra, "unit-length")
-        assert unit.vectors.tolist() == [[0.6, 0.8]]
+        assert scale_to_unit_length(np.array([[3.0, 4.0]])).tolist() == [[0.6, 0.8]]
 
     def test_rows_have_unit_norm(self, rng):
-        spectra = make_spectrum_set(rng.random((40, 7)) + 0.01)
-        unit = normalize_spectra(spectra, "unit-length")
-        norms = np.linalg.norm(unit.vectors, axis=1)
+        unit = scale_to_unit_length(rng.random((40, 7)) + 0.01)
+        norms = np.linalg.norm(unit, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-12)
 
     @pytest.mark.parametrize("bands", [1, 2, 3, 8, 9, 33, 129])
@@ -256,23 +253,21 @@ class TestNormalize:
         # rows (unlike 8-bit ones, whose squares add exactly) show the difference.
         v = rng.random((300, bands)) * 100.0 + 0.01
         expected = v / np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
-        unit = normalize_spectra(make_spectrum_set(np.asfortranarray(v)), "unit-length")
-        assert unit.vectors.tobytes() == expected.tobytes()
+        unit = scale_to_unit_length(np.asfortranarray(v))
+        assert unit.tobytes() == expected.tobytes()
 
-    def test_unit_length_leaves_its_input_untouched(self, rng):
-        spectra = make_spectrum_set(np.asfortranarray(rng.random((300, 9)) * 100.0 + 0.01))
-        before = spectra.vectors.tobytes("A")
-        unit = normalize_spectra(spectra, "unit-length")
-        assert spectra.vectors.tobytes("A") == before
-        assert not np.shares_memory(unit.vectors, spectra.vectors)
-        assert not unit.vectors.flags.writeable
+    def test_unit_length_divides_in_place(self, rng):
+        vectors = np.asfortranarray(rng.random((300, 9)) * 100.0 + 0.01)
+        expected = scale_to_unit_length(vectors.copy(order="F"))
+        assert scale_to_unit_length(vectors) is vectors
+        assert vectors.tobytes("A") == expected.tobytes("A")
 
     def test_zero_row_rejected(self):
-        spectra = make_spectrum_set([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(ZeroSpectrum) as exc:
-            normalize_spectra(spectra, "unit-length")
+            scale_to_unit_length(np.array([[1.0, 2.0], [0.0, 0.0]]))
         assert exc.value.row == 1
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, tmp_path):
+        """Before any file is read: a source that does not exist is never looked at."""
         with pytest.raises(ValueError, match="unknown normalization 'l2'"):
-            normalize_spectra(make_spectrum_set([[1.0, 2.0]]), "l2")
+            foreground(tmp_path / "missing", ThresholdConfig(), normalize="l2")

@@ -23,7 +23,7 @@ from conftest import (
     subprocess_env,
 )
 from inkscan import binarize, cluster, hsi_cube, netpbm, segment, synth
-from inkscan.cli import _foreground, build_parser, main
+from inkscan.cli import build_parser, main
 from inkscan.errors import IoFailure
 from inkscan.segment import read_label_pgm
 
@@ -197,57 +197,124 @@ def page_bands(tmp_path_factory):
 
 
 FOREGROUND_FLAGS = pytest.mark.parametrize(
-    "flags", [["--reference", "mean"], ["--reference", "band:3"], ["--otsu"]],
+    "flags", [{"reference": "mean"}, {"reference": "band:3"}, {"otsu": True}],
     ids=["mean", "band3", "otsu"])
 
 
+def stepwise_spectra(bands, reference="mean", otsu=False):
+    """The mask and 8-bit spectra of `binarize.foreground`, one public step at a time."""
+    cube = hsi_cube.load_cube(bands)
+    ref = hsi_cube.reference_image(cube, reference)
+    t = binarize.otsu_threshold(ref) if otsu else binarize.DEFAULT_THRESHOLD
+    mask = binarize.threshold_binary(ref, binarize.ThresholdConfig(t))
+    return mask, binarize.extract_spectra(cube, mask)
+
+
 class TestForeground:
-    """`spectra` and `segment` gather the 8-bit rows, drop the cube, then promote."""
+    """`binarize.foreground`, which `spectra` and `segment` run, gathers the
+    8-bit rows, drops the cube, then promotes."""
 
     @FOREGROUND_FLAGS
-    def test_cube_and_float_spectra_never_coexist(self, page_bands, flags, capsys):
+    def test_cube_and_float_spectra_never_coexist(self, page_bands, flags):
         """The traced peak stays below the cube plus the float64 spectra, so
         neither the cube nor a band reference viewing it outlives the gather."""
-        args = build_parser().parse_args(["spectra", str(page_bands), *flags])
         tracemalloc.start()
         try:
-            _, spectra = _foreground(args)
+            found = binarize.foreground(page_bands, binarize.ThresholdConfig(), **flags)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cube = hsi_cube.load_cube(page_bands)
-        assert peak < cube.data.nbytes + spectra.vectors.nbytes
+        assert peak < cube.data.nbytes + found.spectra.vectors.nbytes
 
     @FOREGROUND_FLAGS
-    def test_spectra_equal_extract_spectra(self, page_bands, flags, capsys):
-        mask, spectra = _foreground(build_parser().parse_args(["spectra", str(page_bands),
-                                                               *flags]))
-        want = binarize.extract_spectra(hsi_cube.load_cube(page_bands), mask)
-        for got in (spectra, want):
+    def test_spectra_equal_extract_spectra(self, page_bands, flags):
+        """8-bit and unit-length sets have the bits of the public steps: for
+        unit-length, `scale_to_unit_length` on a copy of the 8-bit set."""
+        mask, want = stepwise_spectra(page_bands, **flags)
+        unit = np.array(want.vectors, order="F")
+        for normalize, vectors in (("none", want.vectors),
+                                   ("unit-length", binarize.scale_to_unit_length(unit))):
+            found = binarize.foreground(page_bands, binarize.ThresholdConfig(),
+                                        normalize=normalize, **flags)
+            got = found.spectra
             assert got.vectors.dtype == np.float64 and got.vectors.flags.f_contiguous
             assert not got.vectors.flags.writeable
             assert got.coords.dtype == np.int32
-        assert spectra.vectors.shape == want.vectors.shape
-        assert spectra.vectors.tobytes("A") == want.vectors.tobytes("A")
-        assert spectra.coords.tobytes() == want.coords.tobytes()
+            assert got.eight_bit is (normalize == "none")
+            assert got.vectors.shape == vectors.shape
+            assert got.vectors.tobytes("A") == vectors.tobytes("A"), normalize
+            assert got.coords.tobytes() == want.coords.tobytes()
+            assert found.mask.flags.tobytes() == mask.flags.tobytes()
 
-
-    def test_unit_length_spectra_hold_one_float_copy(self, page_bands, capsys):
+    def test_unit_length_spectra_hold_one_float_copy(self, page_bands):
         """The 8-bit rows go before the one float64 copy is divided in place,
         so the traced peak stays below two float64 copies of the spectra."""
-        args = build_parser().parse_args(["spectra", str(page_bands),
-                                          "--normalize", "unit-length"])
         tracemalloc.start()
         try:
-            mask, spectra = _foreground(args)
+            found = binarize.foreground(page_bands, binarize.ThresholdConfig(),
+                                        normalize="unit-length")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        spectra = found.spectra
         assert peak < 2 * spectra.vectors.nbytes
-        cube = hsi_cube.load_cube(page_bands)
-        want = binarize.normalize_spectra(binarize.extract_spectra(cube, mask), "unit-length")
-        assert spectra.vectors.tobytes("A") == want.vectors.tobytes("A")
+        _, want = stepwise_spectra(page_bands)
+        want = binarize.scale_to_unit_length(np.array(want.vectors, order="F"))
+        assert spectra.vectors.tobytes("A") == want.tobytes("A")
         assert spectra.vectors.flags.f_contiguous and not spectra.vectors.flags.writeable
+
+    def test_record_names_the_threshold_applied(self, page_bands, tmp_path):
+        """Otsu's t on a normal page, the configured t without `otsu` and on a
+        constant page, where the record says Otsu fell back."""
+        ref = hsi_cube.reference_image(hsi_cube.load_cube(page_bands))
+        config = binarize.ThresholdConfig(40)
+        otsu_t = binarize.otsu_threshold(ref)
+        assert otsu_t != 40
+        found = binarize.foreground(page_bands, config, otsu=True)
+        assert (found.threshold, found.otsu_fell_back) == (otsu_t, False)
+        found = binarize.foreground(page_bands, config)
+        assert (found.threshold, found.otsu_fell_back) == (40, False)
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        netpbm.write_pgm(np.full((6, 6), 90, dtype=np.uint8), flat / "band_1.pgm")
+        found = binarize.foreground(flat, config, otsu=True)
+        assert (found.threshold, found.otsu_fell_back) == (40, True)
+        assert found.mask.count == 36
+
+
+class TestForegroundFailure:
+    @pytest.mark.parametrize("argv", [["spectra"], ["segment", "--k", "1"]],
+                             ids=["spectra", "segment"])
+    def test_failed_otsu_run_prints_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        """The Otsu fallback note follows a foreground found, so a constant page
+        the fallback threshold finds no ink on prints only the error."""
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        netpbm.write_pgm(np.full((6, 6), 10, dtype=np.uint8), flat / "band_1.pgm")
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], str(flat), "--otsu", *argv[1:]]) == 1
+        assert capsys.readouterr().err == f"inkscan {argv[0]}: mask has no foreground pixels\n"
+
+    @pytest.mark.parametrize("command", ["spectra", "segment"])
+    @pytest.mark.parametrize("source, bands", [("manifest.txt", 8), ("bands", 7)],
+                             ids=["manifest", "directory"])
+    def test_reference_band_past_b_reads_no_band(self, tmp_path, capsys, monkeypatch,
+                                                 command, source, bands):
+        """On an 8-band page without band_5.pgm, `band:99` is checked against
+        the manifest or the directory listing before any band file is read."""
+        doc = tmp_path / "doc"
+        assert main(["synth", "--out-dir", str(doc), "--width", "16", "--height", "12",
+                     "--bands", "8", "--inks", "2", "--seed", "1"]) == 0
+        (doc / "bands" / "band_5.pgm").unlink()
+        capsys.readouterr()
+        reads = []
+        read_pgm = netpbm.read_pgm
+        monkeypatch.setattr(netpbm, "read_pgm", lambda path: reads.append(path) or read_pgm(path))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, str(doc / source), "--reference", "band:99"]) == 1
+        assert capsys.readouterr().err == f"inkscan {command}: band 99 not in 1..{bands}\n"
+        assert reads == []
 
 
 class TestSegment:

@@ -18,7 +18,7 @@ from inkscan.binarize import (
     SpectrumSet,
     ThresholdConfig,
     extract_spectra,
-    normalize_spectra,
+    scale_to_unit_length,
     threshold_binary,
 )
 from inkscan.cluster import (
@@ -292,6 +292,13 @@ def ink_page_spectra(signatures=None):
     return extract_spectra(cube, threshold_binary(reference_image(cube), ThresholdConfig()))
 
 
+def unit_length(spectra):
+    """The unit-length set of `spectra`, divided on a float64 copy as `segment
+    --normalize unit-length` divides its own."""
+    return SpectrumSet(scale_to_unit_length(np.array(spectra.vectors, order="F")),
+                       spectra.coords)
+
+
 @pytest.fixture(scope="module")
 def restart_cases():
     """{name: (spectra, params)} for the restart oracle: restarts that end at
@@ -396,7 +403,7 @@ class TestWorkerSplit:
         clusters; 6 workers is one more than the restarts."""
         spectra, params = restart_cases["close" if case == "unit-length" else case]
         if case == "unit-length":
-            spectra = normalize_spectra(spectra, "unit-length")
+            spectra = unit_length(spectra)
         if case == "reseed":  # it reseeds from the first pass on; 5 passes keep it quick
             params = dataclasses.replace(params, max_iterations=5)
         calls, inertia_pass = [], cluster._inertia_fixed_order
@@ -904,7 +911,7 @@ class TestKernel:
         kmeans_fit(spectra, params)
         assert init_calls == [0, 0]
         init_calls.clear()
-        kmeans_fit(normalize_spectra(spectra, "unit-length"), params)
+        kmeans_fit(unit_length(spectra), params)
         assert init_calls == [4 * 3, 4 * 3]  # 4 picks after the first x 3 chunks
 
     def test_reseeding_fit_on_uint8_rows_matches_exact_kernel_fit(self, monkeypatch):
@@ -956,4 +963,4 @@ class TestKernel:
             segment.export_spectra_csv(floats, general, sample_limit=limit, seed=3)
             assert fast.read_bytes() == general.read_bytes(), limit
         assert spectra.count > 1200 > segment._BLOCK_ROWS and tables == [1, 1]
-        assert not _Kernel(normalize_spectra(spectra, "unit-length")).eight_bit
+        assert not _Kernel(unit_length(spectra)).eight_bit

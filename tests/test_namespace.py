@@ -13,7 +13,7 @@ from conftest import subprocess_env
 # the names `inkscan/__init__.py` imported eagerly before it resolved them on first use
 EXPORTS = {
     "binarize": ["ForegroundMask", "SpectrumSet", "ThresholdConfig", "extract_spectra",
-                 "normalize_spectra", "otsu_threshold", "threshold_binary"],
+                 "foreground", "otsu_threshold", "threshold_binary"],
     "cluster": ["ClusterModel", "KMeansParams", "assign", "inertia", "kmeans_fit",
                 "kmeans_init"],
     "hsi_cube": ["GrayImage", "HyperCube", "band_image", "load_cube", "reference_image",
